@@ -105,10 +105,16 @@ class TestInterpreterExamples:
 class TestInterpreterProperties:
     def test_matches_reference_on_random_programs(self):
         rng = np.random.default_rng(2024)
+        cases = []
         for _ in range(300):
             dim = int(rng.integers(1, 5))
-            p = random_program(dim, 30, (-10.0, 10.0), rng)
-            x = rng.uniform(-50.0, 50.0, size=dim)
+            cases.append((random_program(dim, 30, (-10.0, 10.0), rng),
+                          rng.uniform(-50.0, 50.0, size=dim)))
+        # edge programs: constant-only, an empty final stack, an overflow
+        for text in ("3.0 4.0 * 2.0 - 0.0 /", "+ SWAP DUP *", "1e300 DUP *",
+                     "1e300 DUP * x0 1e-12 / 2.0 3.0 - SWAP 1e308 1e308 +"):
+            cases.append((parse(text, 1), np.array([-0.5])))
+        for p, x in cases:
             expected, _ = reference_interpret(p, x)
             assert interpret(p, x) == expected
 
