@@ -21,15 +21,17 @@ exploits (low inertia, high cognitive pull, tight velocity cap).
 Velocity limits derive from the box edge lengths: ``vmax = vmax_scale *
 (hi - lo)`` and ``vmin = vmin_scale * 0.01 * (hi - lo)`` per dimension.
 Positions are clamped to the box with the velocity zeroed on clamped
-dimensions (absorbing walls). A single ``optimize`` call is strictly
-sequential; independent calls with independent generators may run in
-parallel. The swarm size is ``floor(10 + 2 * sqrt(dimension))`` so no
-user-supplied setting is needed.
+dimensions (absorbing walls). ``optimize`` derives the box constants
+(bounds, edge lengths, diagonal) once per swarm and hands them to every
+``step``. A single ``optimize`` call is strictly sequential; independent
+calls with independent generators may run in parallel. The swarm size is
+``floor(10 + 2 * sqrt(dimension))`` so no user-supplied setting is needed.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -98,42 +100,31 @@ class FuzzySettings(NamedTuple):
     vmin_scale: float
 
 
-def fuzzy_update(inputs: FuzzyInputs) -> FuzzySettings:
-    """Zero-order Sugeno inference: firing-strength-weighted consequents."""
-    phi, delta = inputs.phi, inputs.delta
-    mu_phi = (max(0.0, -phi), 1.0 - abs(phi), max(0.0, phi))
-    mu_delta = (max(0.0, 1.0 - 2.0 * delta),
-                1.0 - 2.0 * abs(delta - 0.5),
-                max(0.0, 2.0 * delta - 1.0))
-    num = [0.0] * 5
-    den = 0.0
-    for i in range(3):
-        if mu_phi[i] == 0.0:
-            continue
-        for j in range(3):
-            w = mu_phi[i] * mu_delta[j]
-            if w == 0.0:
-                continue
-            den += w
-            num[0] += w * _INERTIA[i][j]
-            num[1] += w * _COGNITIVE[i][j]
-            num[2] += w * _SOCIAL[i][j]
-            num[3] += w * _VMAX_SCALE[i][j]
-            num[4] += w * _VMIN_SCALE[i][j]
-    return FuzzySettings(*(v / den for v in num))
-
-
 def _settings_batch(phi: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Vectorized fuzzy_update over particle vectors; returns (P, 5)."""
-    mu_phi = np.stack(
-        [np.maximum(0.0, -phi), 1.0 - np.abs(phi), np.maximum(0.0, phi)], axis=1)
-    mu_delta = np.stack(
-        [np.maximum(0.0, 1.0 - 2.0 * delta),
-         1.0 - 2.0 * np.abs(delta - 0.5),
-         np.maximum(0.0, 2.0 * delta - 1.0)], axis=1)
-    weights = mu_phi[:, :, None] * mu_delta[:, None, :]
-    total = weights.sum(axis=(1, 2))
+    """Zero-order Sugeno inference per particle: firing-strength-weighted
+    consequents, as a (P, 5) array of the FuzzySettings fields."""
+    mu = np.empty((6, phi.shape[0]))  # phi memberships, then delta memberships
+    np.maximum(0.0, -phi, out=mu[0])
+    np.subtract(1.0, np.abs(phi), out=mu[1])
+    np.maximum(0.0, phi, out=mu[2])
+    two_delta = 2.0 * delta
+    np.maximum(0.0, 1.0 - two_delta, out=mu[3])
+    np.subtract(1.0, 2.0 * np.abs(delta - 0.5), out=mu[4])
+    np.maximum(0.0, two_delta - 1.0, out=mu[5])
+    # C order keeps the summation order of the sum and einsum below
+    weights = np.multiply(mu[:3].T[:, :, None], mu[3:].T[:, None, :], order="C")
+    total = np.add.reduce(weights, axis=(1, 2))
     return np.einsum("pij,kij->pk", weights, _TABLES) / total[:, None]
+
+
+def fuzzy_update(inputs: FuzzyInputs) -> FuzzySettings:
+    """The rule base of ``step`` applied to one particle's signals."""
+    settings = _settings_batch(np.array([inputs.phi]), np.array([inputs.delta]))
+    return FuzzySettings(*settings[0].tolist())
+
+
+# settings of a fresh swarm: no performance change, mid distance
+_NEUTRAL = fuzzy_update(FuzzyInputs(0.0, 0.5))
 
 
 @dataclass(frozen=True)
@@ -189,14 +180,21 @@ class SwarmState:
         ]
 
 
-def _split_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
+# constants of a bounds box, derived once per swarm by _box
+_Box = namedtuple("_Box", "lo hi span diagonal")
+
+
+def _box(bounds) -> _Box:
+    if isinstance(bounds, _Box):
+        return bounds
     box = np.asarray(bounds, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] < 1:
         raise ValueError("bounds must be a (D, 2) array of (lo, hi) pairs")
     lo, hi = box[:, 0], box[:, 1]
     if np.any(lo > hi):
         raise ValueError("bounds must satisfy lo <= hi per dimension")
-    return lo, hi
+    span = hi - lo
+    return _Box(lo, hi, span, float(np.linalg.norm(span)))
 
 
 def _as_batch(objective: Callable, vectorized: bool) -> Callable:
@@ -212,15 +210,13 @@ def _as_batch(objective: Callable, vectorized: bool) -> Callable:
 def init_swarm(objective, bounds, rng, vectorized: bool = False) -> SwarmState:
     """Place the swarm uniformly in the box and evaluate it once."""
     rng = np.random.default_rng(rng)
-    lo, hi = _split_bounds(bounds)
+    lo, _, span, _ = _box(bounds)
     dim = lo.shape[0]
     size = swarm_size(dim)
     obj = _as_batch(objective, vectorized)
-    positions = lo + rng.random((size, dim)) * (hi - lo)
+    positions = lo + rng.random((size, dim)) * span
     values = np.asarray(obj(positions), dtype=float)
     gi = int(np.argmin(values))
-    neutral = fuzzy_update(FuzzyInputs(0.0, 0.5))
-    span = hi - lo
     return SwarmState(
         positions=positions,
         velocities=np.zeros((size, dim)),
@@ -230,11 +226,11 @@ def init_swarm(objective, bounds, rng, vectorized: bool = False) -> SwarmState:
         best_values=values.copy(),
         global_best_position=positions[gi].copy(),
         global_best_value=float(values[gi]),
-        inertia=np.full(size, neutral.inertia),
-        cognitive=np.full(size, neutral.cognitive),
-        social=np.full(size, neutral.social),
-        vmax=np.tile(neutral.vmax_scale * span, (size, 1)),
-        vmin=np.tile(neutral.vmin_scale * VMIN_BASE_FRACTION * span, (size, 1)),
+        inertia=np.full(size, _NEUTRAL.inertia),
+        cognitive=np.full(size, _NEUTRAL.cognitive),
+        social=np.full(size, _NEUTRAL.social),
+        vmax=np.tile(_NEUTRAL.vmax_scale * span, (size, 1)),
+        vmin=np.tile(_NEUTRAL.vmin_scale * VMIN_BASE_FRACTION * span, (size, 1)),
         evaluations_used=size,
     )
 
@@ -245,19 +241,20 @@ def step(state: SwarmState, objective, bounds, rng,
 
     All particles move against the global best from the iteration start;
     personal and global bests are updated afterwards and never worsen.
+    ``bounds`` may also be the box ``optimize`` derived once for the swarm.
     """
     rng = np.random.default_rng(rng)
-    lo, hi = _split_bounds(bounds)
+    lo, hi, span, diagonal = _box(bounds)
     obj = _as_batch(objective, vectorized)
     size, dim = state.positions.shape
-    span = hi - lo
-    diagonal = float(np.linalg.norm(span))
 
     phi = (state.values - state.prev_values) / (np.abs(state.prev_values) + 1.0)
-    phi = np.clip(phi, -1.0, 1.0)
-    phi = np.where(np.isnan(phi), 0.0, phi)
+    phi = np.minimum(np.maximum(phi, -1.0), 1.0)
+    if math.isnan(phi.dot(phi)):
+        phi = np.where(np.isnan(phi), 0.0, phi)
     if diagonal > 0.0:
-        dist = np.linalg.norm(state.positions - state.global_best_position, axis=1)
+        offset = state.positions - state.global_best_position
+        dist = np.sqrt(np.add.reduce(offset * offset, axis=1))
         delta = np.minimum(dist / diagonal, 1.0)
     else:
         delta = np.zeros(size)
@@ -267,16 +264,16 @@ def step(state: SwarmState, objective, bounds, rng,
     vmax = settings[:, 3, None] * span
     vmin = settings[:, 4, None] * VMIN_BASE_FRACTION * span
 
-    r_cog = rng.random((size, dim))
-    r_soc = rng.random((size, dim))
+    # one draw of both factors keeps the stream of two consecutive draws
+    r_cog, r_soc = rng.random((2, size, dim))
     velocity = (inertia[:, None] * state.velocities
                 + cognitive[:, None] * r_cog * (state.best_positions - state.positions)
                 + social[:, None] * r_soc * (state.global_best_position - state.positions))
     # Magnitude clamp preserves sign; exact zeros stay zero.
-    velocity = np.sign(velocity) * np.clip(np.abs(velocity), vmin, vmax)
+    velocity = np.sign(velocity) * np.minimum(np.maximum(np.abs(velocity), vmin), vmax)
 
     moved = state.positions + velocity
-    clamped = np.clip(moved, lo, hi)
+    clamped = np.minimum(np.maximum(moved, lo), hi)
     velocity = np.where(moved != clamped, 0.0, velocity)
 
     values = np.asarray(obj(clamped), dtype=float)
@@ -288,7 +285,7 @@ def step(state: SwarmState, objective, bounds, rng,
     improved = values < state.best_values
     state.best_positions = np.where(improved[:, None], clamped, state.best_positions)
     state.best_values = np.where(improved, values, state.best_values)
-    gi = int(np.argmin(state.best_values))
+    gi = int(state.best_values.argmin())
     if state.best_values[gi] < state.global_best_value:
         state.global_best_value = float(state.best_values[gi])
         state.global_best_position = state.best_positions[gi].copy()
@@ -316,13 +313,13 @@ def optimize(objective, bounds, budget: int, rng,
         its objective value.
     """
     rng = np.random.default_rng(rng)
-    lo, _ = _split_bounds(bounds)
-    size = swarm_size(lo.shape[0])
+    box = _box(bounds)
+    size = swarm_size(box.lo.shape[0])
     if budget < size:
         raise ValueError(f"budget {budget} below swarm size {size}")
     obj = _as_batch(objective, vectorized)
-    state = init_swarm(obj, bounds, rng, vectorized=True)
+    state = init_swarm(obj, box, rng, vectorized=True)
     while state.evaluations_used + size <= budget:
-        step(state, obj, bounds, rng, vectorized=True)
+        step(state, obj, box, rng, vectorized=True)
     assert state.evaluations_used <= budget
     return state.global_best_position.copy(), float(state.global_best_value)

@@ -23,7 +23,7 @@ import numpy as np
 from . import benchmarks, stackgp
 from .benchmarks import BenchmarkFunction
 from .stackgp import Program
-from .surrogate import EvolutionConfig, default_const_range, evolve
+from .surrogate import EvolutionConfig, evolve
 
 RESULT_COLUMNS = ("function", "dimension", "run", "seed",
                   "fitness_f_at_argmin", "fitness_full_L", "rmse")
@@ -149,8 +149,10 @@ def _execute(tasks, workers: int, done: dict) -> None:
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {pool.submit(_run_task, task): task for task in tasks}
         for future in as_completed(futures):
-            task = futures[future]
-            done[task[:3]] = future.result()
+            if future.exception() is None:
+                done[futures[future][:3]] = future.result()
+    for future in futures:
+        future.result()  # re-raises the first failure in task order
 
 
 def _format(value: float) -> str:
@@ -164,18 +166,16 @@ def _row_line(row: RunRow) -> str:
     return ",".join(cells)
 
 
-def _parse_row(line: str) -> RunRow:
+def _parse_row(line: str, dimension: int) -> RunRow | None:
+    """The row of a per-pair CSV line; None when it is truncated or garbled."""
     parts = line.split(",")
-    return RunRow(
-        function=parts[0],
-        dimension=int(parts[1]),
-        run=int(parts[2]),
-        seed=int(parts[3]),
-        f_at_argmin=float(parts[4]),
-        full_loss=float(parts[5]),
-        rmse=float(parts[6]),
-        argmin=tuple(float(v) for v in parts[7:]),
-    )
+    if len(parts) != len(RESULT_COLUMNS) + dimension:
+        return None
+    try:
+        return RunRow(parts[0], int(parts[1]), int(parts[2]), int(parts[3]),
+                      *map(float, parts[4:7]), tuple(map(float, parts[7:])))
+    except ValueError:
+        return None
 
 
 def pair_csv_path(output_dir, name: str, dimension: int) -> Path:
@@ -186,15 +186,13 @@ def pair_programs_path(output_dir, name: str, dimension: int) -> Path:
     return Path(output_dir) / f"{name}_d{dimension}_programs.txt"
 
 
-def _read_keyed_lines(path: Path, key_field: int, skip_header: bool) -> dict[int, str]:
+def _read_keyed_lines(path: Path, key_field: int, sep: str) -> dict[int, str]:
+    """Lines after the header, keyed by the integer in field ``key_field``."""
     if not path.exists():
         return {}
     keyed = {}
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if skip_header and lines:
-        lines = lines[1:]
-    for line in lines:
-        parts = line.split(",") if skip_header else line.split("\t")
+    for line in path.read_text(encoding="utf-8").splitlines()[1:]:
+        parts = line.split(sep)
         try:
             keyed[int(parts[key_field])] = line
         except (IndexError, ValueError):
@@ -249,10 +247,13 @@ def run_campaign(campaign: Campaign) -> CampaignResult:
     existing_programs = {}
     tasks = []
     for name, dim in campaign.pairs():
-        existing_rows[(name, dim)] = _read_keyed_lines(
-            pair_csv_path(out, name, dim), key_field=2, skip_header=True)
+        # a truncated or garbled row counts as missing and is recomputed
+        existing_rows[(name, dim)] = {
+            run: line for run, line in _read_keyed_lines(
+                pair_csv_path(out, name, dim), key_field=2, sep=",").items()
+            if _parse_row(line, dim) is not None}
         existing_programs[(name, dim)] = _read_keyed_lines(
-            pair_programs_path(out, name, dim), key_field=0, skip_header=True)
+            pair_programs_path(out, name, dim), key_field=0, sep="\t")
         for run in range(campaign.runs):
             if run not in existing_rows[(name, dim)]:
                 tasks.append((name, dim, run, campaign.base_seed + run,
@@ -271,7 +272,7 @@ def run_campaign(campaign: Campaign) -> CampaignResult:
             if (name, dim, run) in computed:
                 rows.append(computed[(name, dim, run)])
             else:
-                rows.append(_parse_row(existing_rows[(name, dim)][run]))
+                rows.append(_parse_row(existing_rows[(name, dim)][run], dim))
         f_values = [r.f_at_argmin for r in rows]
         loss_values = [r.full_loss for r in rows]
         pair = PairResult(
@@ -306,16 +307,21 @@ def export_surface_grid(fn: BenchmarkFunction, program: Program,
     axis1 = np.linspace(fn.lower, fn.upper, resolution)
     grid = np.column_stack([np.repeat(axis0, resolution),
                             np.tile(axis1, resolution)])
-    original = fn.evaluate_batch(grid)
-    surrogate_values = stackgp.interpret_batch(program, grid)
-    lines = ["x0,x1,f_original,f_surrogate"]
-    for (x0, x1), f_orig, f_surr in zip(grid, original, surrogate_values):
-        lines.append(",".join(
-            [_format(x0), _format(x1), _format(f_orig), _format(f_surr)]))
+    original = fn.evaluate_batch(grid).reshape(resolution, resolution)
+    surrogate_values = stackgp.interpret_batch(program, grid).reshape(
+        resolution, resolution)
+    labels1 = [_format(x1) for x1 in axis1.tolist()]
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
-    _write_lines(path, lines)
+    # one block of rows per x0 value; each axis value is formatted once
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("x0,x1,f_original,f_surrogate\n")
+        for x0, f_orig, f_surr in zip(axis0.tolist(), original, surrogate_values):
+            prefix = _format(x0) + ","
+            handle.write("".join([
+                f"{prefix}{x1},{a!r},{b!r}\n"
+                for x1, a, b in zip(labels1, f_orig.tolist(), f_surr.tolist())]))
     return path
 
 

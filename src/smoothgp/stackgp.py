@@ -23,13 +23,20 @@ Execution semantics (fixed for reproducibility):
 
 Programs are immutable values and the interpreter is pure and reentrant;
 the genetic operators draw all randomness from a caller-owned generator.
+
+``interpret_batch`` compiles each program once, on its first call, and
+keeps the result on the program. The static pass drops the instructions
+that would be skipped (the "structural introns" of linear GP), turns DUP
+and SWAP into register aliasing, and folds operations on constants alone
+and a leading run of constant terms of the final sum. The semantics above
+are unchanged, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple, Sequence
 
@@ -111,6 +118,9 @@ class Program:
     dimension: int
     code: tuple[Instruction, ...]
     const_range: tuple[tuple[float, float], ...] = DEFAULT_CONST_RANGE
+    # compiled by the first interpret_batch call; not part of the value
+    _plan: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "code", tuple(self.code))
@@ -132,6 +142,68 @@ class Program:
         return len(self.code)
 
 
+_UFUNCS = {Op.ADD: np.add, Op.SUB: np.subtract, Op.MUL: np.multiply,
+           Op.DIV: np.divide}
+
+
+def _fold(op: Op, a: float | None, b: float) -> float:
+    # constant arithmetic under the runtime's rules; the guard needs no ``a``
+    with np.errstate(all="ignore"):
+        value = 1.0 if op == Op.DIV and abs(b) < DIV_GUARD else float(_UFUNCS[op](a, b))
+    return value if math.isfinite(value) else 0.0
+
+
+def _compile(program: Program) -> tuple:
+    """Static pass (see the module docstring) to ``(registers, steps, terms)``.
+
+    Per register, a 0-d array for a constant or None (registers below the
+    dimension are the input columns); ``(ufunc, left, right, result)`` per
+    operation, where a None ufunc is a guarded division; and the registers
+    of the final stack, bottom to top.
+    """
+    constants: list = [None] * program.dimension
+    steps = []
+    stack: list[int] = []
+
+    def push(value) -> None:
+        stack.append(len(constants))
+        constants.append(value)
+
+    for op, arg in program.code:
+        if op == Op.CONST:
+            push(arg)
+        elif op == Op.VAR:
+            stack.append(arg)
+        elif op == Op.DUP:  # the slices leave a too shallow stack as it is
+            stack.extend(stack[-1:])
+        elif op == Op.SWAP:
+            stack[-2:] = stack[-2:][::-1]
+        elif len(stack) >= 2:
+            b = stack.pop()
+            a = stack.pop()
+            left, right = constants[a], constants[b]
+            if right is not None and (
+                    left is not None or (op == Op.DIV and abs(right) < DIV_GUARD)):
+                push(_fold(op, left, right))
+            else:
+                guarded = op == Op.DIV and right is None
+                steps.append((None if guarded else _UFUNCS[op], a, b, len(constants)))
+                push(None)
+    while len(stack) > 1 and None not in (constants[stack[0]], constants[stack[1]]):
+        constants.append(_fold(Op.ADD, constants[stack[0]], constants[stack[1]]))
+        stack[:2] = [len(constants) - 1]
+    registers = tuple(None if c is None else np.array(c) for c in constants)
+    return registers, tuple(steps), tuple(stack)
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    # a finite self dot product proves every entry finite
+    if math.isfinite(values.dot(values)):
+        return values
+    mask = np.isfinite(values)
+    return values if mask.all() else np.where(mask, values, 0.0)
+
+
 def interpret_batch(program: Program, points) -> np.ndarray:
     """Evaluate ``program`` at each row of ``points`` (shape (n, dimension)).
 
@@ -141,54 +213,30 @@ def interpret_batch(program: Program, points) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != program.dimension:
         raise ValueError(
             f"points must have shape (n, {program.dimension}), got {pts.shape}")
-    n = pts.shape[0]
-    stack: list[np.ndarray] = []
-    push = stack.append
-    pop = stack.pop
+    if program._plan is None:
+        object.__setattr__(program, "_plan", _compile(program))
+    registers, steps, terms = program._plan
+    if not terms:
+        return np.zeros(pts.shape[0])
+    regs = list(registers)
+    regs[:program.dimension] = pts.T
     with np.errstate(all="ignore"):
-        for op, arg in program.code:
-            if op >= Op.ADD:
-                if op == Op.DUP:
-                    if stack:
-                        push(stack[-1])
-                elif op == Op.SWAP:
-                    if len(stack) >= 2:
-                        stack[-1], stack[-2] = stack[-2], stack[-1]
-                else:
-                    if len(stack) < 2:
-                        continue
-                    b = pop()
-                    a = pop()
-                    if op == Op.ADD:
-                        v = a + b
-                    elif op == Op.SUB:
-                        v = a - b
-                    elif op == Op.MUL:
-                        v = a * b
-                    else:
-                        guard = np.abs(b) < DIV_GUARD
-                        v = np.where(guard, 1.0, a / np.where(guard, 1.0, b))
-                    mask = np.isfinite(v)
-                    if not mask.all():
-                        v = np.where(mask, v, 0.0)
-                    push(v)
-            elif op == Op.CONST:
-                push(np.full(n, arg))
+        for ufunc, a, b, out in steps:
+            left, right = regs[a], regs[b]
+            if ufunc is None:
+                guard = np.abs(right) < DIV_GUARD
+                value = (np.where(guard, 1.0, left / np.where(guard, 1.0, right))
+                         if guard.any() else left / right)
             else:
-                push(pts[:, arg])
-    if not stack:
-        return np.zeros(n)
-    # accumulate bottom-to-top so results are bit-reproducible
-    total = stack[0].copy()
-    for term in stack[1:]:
-        total = total + term
-        mask = np.isfinite(total)
-        if not mask.all():
-            total = np.where(mask, total, 0.0)
-    mask = np.isfinite(total)
-    if not mask.all():
-        return np.where(mask, total, 0.0)
-    return total
+                value = ufunc(left, right)
+            regs[out] = _finite(value)
+        # accumulate bottom-to-top so results are bit-reproducible
+        total = regs[terms[0]]
+        for r in terms[1:]:
+            total = _finite(total + regs[r])
+        if len(terms) == 1 and terms[0] < program.dimension:
+            total = _finite(total.copy())  # an input column
+    return np.full(pts.shape[0], total) if total.ndim == 0 else total
 
 
 def interpret(program: Program, x) -> float:

@@ -11,6 +11,31 @@ from smoothgp.fstpso import (FuzzyInputs, FuzzySettings, SwarmState,
 SPHERE_BOUNDS = np.array([[-5.0, 5.0], [-5.0, 5.0]])
 
 
+def reference_fuzzy_update(inputs):
+    """Scalar zero-order Sugeno inference, the oracle for the rule base."""
+    phi, delta = inputs.phi, inputs.delta
+    mu_phi = (max(0.0, -phi), 1.0 - abs(phi), max(0.0, phi))
+    mu_delta = (max(0.0, 1.0 - 2.0 * delta),
+                1.0 - 2.0 * abs(delta - 0.5),
+                max(0.0, 2.0 * delta - 1.0))
+    num = [0.0] * 5
+    den = 0.0
+    for i in range(3):
+        if mu_phi[i] == 0.0:
+            continue
+        for j in range(3):
+            w = mu_phi[i] * mu_delta[j]
+            if w == 0.0:
+                continue
+            den += w
+            num[0] += w * fstpso._INERTIA[i][j]
+            num[1] += w * fstpso._COGNITIVE[i][j]
+            num[2] += w * fstpso._SOCIAL[i][j]
+            num[3] += w * fstpso._VMAX_SCALE[i][j]
+            num[4] += w * fstpso._VMIN_SCALE[i][j]
+    return FuzzySettings(*(v / den for v in num))
+
+
 def sphere(points):
     return np.sum(points * points, axis=1)
 
@@ -82,8 +107,10 @@ class TestFuzzyInference:
         delta = rng.uniform(0.0, 1.0, size=200)
         batch = _settings_batch(phi, delta)
         for i in range(200):
-            scalar = fuzzy_update(FuzzyInputs(float(phi[i]), float(delta[i])))
+            inputs = FuzzyInputs(float(phi[i]), float(delta[i]))
+            scalar = reference_fuzzy_update(inputs)
             assert np.allclose(batch[i], scalar, rtol=0, atol=1e-12)
+            assert fuzzy_update(inputs) == tuple(batch[i])
 
 
 class TestSwarmSize:

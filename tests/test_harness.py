@@ -188,6 +188,29 @@ class TestRunCampaign:
         run_campaign(campaign)
         assert path.read_text() == full
 
+    def test_resume_keeps_program_lines(self, tmp_path):
+        campaign = tiny_campaign(tmp_path, runs=3)
+        run_campaign(campaign)
+        path = pair_csv_path(tmp_path, "rastrigin", 2)
+        programs = tmp_path / "rastrigin_d2_programs.txt"
+        full_rows, full_programs = path.read_text(), programs.read_text()
+        lines = full_rows.splitlines()
+        path.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+        run_campaign(campaign)
+        assert len(programs.read_text().splitlines()) == 4
+        assert programs.read_text() == full_programs
+        assert path.read_text() == full_rows
+
+    def test_execute_keeps_runs_finishing_after_a_failure(self):
+        # the first task fails on its config at once; its sibling finishes later
+        failing = dict(TINY_OVERRIDES, population_size=1)
+        tasks = [("rastrigin", 2, 0, 11, failing),
+                 ("rastrigin", 2, 1, 12, dict(TINY_OVERRIDES))]
+        done = {}
+        with pytest.raises(ValueError):
+            harness._execute(tasks, 2, done)
+        assert list(done) == [("rastrigin", 2, 1)]
+
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         out_serial = tmp_path / "serial"
         out_pool = tmp_path / "pool"
@@ -242,6 +265,19 @@ class TestCli:
         assert code == 0
         lines = pair_csv_path(out, "rastrigin", 2).read_text().splitlines()
         assert len(lines) == 2  # header + the single run the flag forced
+
+    def test_truncated_row_is_recomputed(self, tmp_path):
+        argv = ["run", "--function", "rastrigin", "--dim", "2", "--runs", "2",
+                "--seed", "0", "--generations", "2", "--pop", "6",
+                "--pso-iters", "10", "--rmse-samples", "20",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        path = pair_csv_path(tmp_path, "rastrigin", 2)
+        full = path.read_text()
+        lines = full.splitlines()
+        path.write_text("\n".join([lines[0], lines[1], "rastrigin,2,1,1,1.5"]) + "\n")
+        assert cli.main(argv) == 0
+        assert path.read_text() == full
 
     def test_unknown_config_key_fails(self, tmp_path):
         config = tmp_path / "settings.cfg"
