@@ -192,6 +192,8 @@ def _compile(program: Program) -> tuple:
     while len(stack) > 1 and None not in (constants[stack[0]], constants[stack[1]]):
         constants.append(_fold(Op.ADD, constants[stack[0]], constants[stack[1]]))
         stack[:2] = [len(constants) - 1]
+    if not stack:
+        push(0.0)  # an empty final stack sums to 0.0
     registers = tuple(None if c is None else np.array(c) for c in constants)
     return registers, tuple(steps), tuple(stack)
 
@@ -216,8 +218,6 @@ def interpret_batch(program: Program, points) -> np.ndarray:
     if program._plan is None:
         object.__setattr__(program, "_plan", _compile(program))
     registers, steps, terms = program._plan
-    if not terms:
-        return np.zeros(pts.shape[0])
     regs = list(registers)
     regs[:program.dimension] = pts.T
     with np.errstate(all="ignore"):
