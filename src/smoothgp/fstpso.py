@@ -250,8 +250,7 @@ def step(state: SwarmState, objective, bounds, rng,
 
     phi = (state.values - state.prev_values) / (np.abs(state.prev_values) + 1.0)
     phi = np.minimum(np.maximum(phi, -1.0), 1.0)
-    if math.isnan(phi.dot(phi)):
-        phi = np.where(np.isnan(phi), 0.0, phi)
+    phi = np.where(np.isnan(phi), 0.0, phi)
     if diagonal > 0.0:
         offset = state.positions - state.global_best_position
         dist = np.sqrt(np.add.reduce(offset * offset, axis=1))

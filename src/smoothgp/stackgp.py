@@ -146,8 +146,8 @@ _UFUNCS = {Op.ADD: np.add, Op.SUB: np.subtract, Op.MUL: np.multiply,
            Op.DIV: np.divide}
 
 
-def _fold(op: Op, a: float | None, b: float) -> float:
-    # constant arithmetic under the runtime's rules; the guard needs no ``a``
+def _fold(op: Op, a: float, b: float) -> float:
+    # constant arithmetic under the runtime's rules
     with np.errstate(all="ignore"):
         value = 1.0 if op == Op.DIV and abs(b) < DIV_GUARD else float(_UFUNCS[op](a, b))
     return value if math.isfinite(value) else 0.0
@@ -181,13 +181,10 @@ def _compile(program: Program) -> tuple:
         elif len(stack) >= 2:
             b = stack.pop()
             a = stack.pop()
-            left, right = constants[a], constants[b]
-            if right is not None and (
-                    left is not None or (op == Op.DIV and abs(right) < DIV_GUARD)):
-                push(_fold(op, left, right))
+            if None not in (constants[a], constants[b]):
+                push(_fold(op, constants[a], constants[b]))
             else:
-                guarded = op == Op.DIV and right is None
-                steps.append((None if guarded else _UFUNCS[op], a, b, len(constants)))
+                steps.append((None if op == Op.DIV else _UFUNCS[op], a, b, len(constants)))
                 push(None)
     while len(stack) > 1 and None not in (constants[stack[0]], constants[stack[1]]):
         constants.append(_fold(Op.ADD, constants[stack[0]], constants[stack[1]]))
@@ -225,8 +222,7 @@ def interpret_batch(program: Program, points) -> np.ndarray:
             left, right = regs[a], regs[b]
             if ufunc is None:
                 guard = np.abs(right) < DIV_GUARD
-                value = (np.where(guard, 1.0, left / np.where(guard, 1.0, right))
-                         if guard.any() else left / right)
+                value = np.where(guard, 1.0, left / np.where(guard, 1.0, right))
             else:
                 value = ufunc(left, right)
             regs[out] = _finite(value)
