@@ -7,7 +7,7 @@ function at the located argminimum, plus a shape-fidelity RMSE term.
 """
 
 from .benchmarks import BenchmarkFunction, catalog, get, names
-from .fstpso import FuzzyInputs, FuzzySettings, fuzzy_update, optimize, swarm_size
+from .fstpso import fuzzy_settings, optimize, swarm_size
 from .harness import (Campaign, CampaignResult, dump_catalog,
                       export_surface_grid, run_campaign)
 from .stackgp import (Program, interpret, interpret_batch, mutate, parse,
@@ -19,10 +19,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchmarkFunction", "Campaign", "CampaignResult", "EvolutionConfig",
-    "FuzzyInputs", "FuzzySettings", "Program", "RunRecord",
-    "ScoredIndividual", "catalog", "dump_catalog", "evolve",
-    "export_surface_grid", "fitness", "fuzzy_update", "get", "interpret",
-    "interpret_batch", "mutate", "names", "optimize", "parse",
+    "Program", "RunRecord", "ScoredIndividual", "catalog", "dump_catalog",
+    "evolve", "export_surface_grid", "fitness", "fuzzy_settings", "get",
+    "interpret", "interpret_batch", "mutate", "names", "optimize", "parse",
     "random_program", "render", "run_campaign", "swarm_size",
     "tournament_select", "two_point_crossover",
 ]

@@ -15,31 +15,27 @@ from . import benchmarks, harness, stackgp
 from .harness import Campaign
 from .surrogate import default_const_range, evolve
 
-_RUN_DEFAULTS = {
-    "function": "all",
-    "dim": "2",
-    "runs": 30,
-    "seed": 0,
-    "generations": None,
-    "pop": None,
-    "pso_iters": None,
-    "rmse_samples": None,
-    "out": "results",
-    "workers": 1,
-}
-_SURFACE_DEFAULTS = {
-    "function": "rastrigin",
-    "seed": 0,
-    "resolution": 64,
-    "generations": None,
-    "pop": None,
-    "pso_iters": None,
-    "rmse_samples": None,
-    "out": "surface.csv",
-    "program": None,
-}
-_INT_KEYS = {"runs", "seed", "generations", "pop", "pso_iters",
-             "rmse_samples", "workers", "resolution"}
+# Every setting of `run` and `surface`, in flag order, declared once:
+# (key, type, help, EvolutionConfig field or None, default per command).
+# A command takes the settings it lists a default for; the flag is the key
+# with '-' for '_', and a config file may use either spelling.
+_SETTINGS = (
+    ("function", str, "benchmark name; run also takes 'all'", None,
+     {"run": "all", "surface": "rastrigin"}),
+    ("dim", str, "2, 3, 4 or 'all'", None, {"run": "2"}),
+    ("runs", int, None, None, {"run": 30}),
+    ("seed", int, None, None, {"run": 0, "surface": 0}),
+    ("resolution", int, None, None, {"surface": 64}),
+    ("generations", int, None, "generations", {"run": None, "surface": None}),
+    ("pop", int, None, "population_size", {"run": None, "surface": None}),
+    ("pso_iters", int, None, "pso_iterations", {"run": None, "surface": None}),
+    ("rmse_samples", int, None, "rmse_samples", {"run": None, "surface": None}),
+    ("out", str, "output directory (run) or CSV file (surface)", None,
+     {"run": "results", "surface": "surface.csv"}),
+    ("workers", int, None, None, {"run": 1}),
+    ("program", str, "postfix program text to export instead of evolving one",
+     None, {"surface": None}),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,34 +43,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="smoothgp",
         description="Evolve smooth surrogate models of rugged benchmark functions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="execute a seeded multi-run campaign")
-    run.add_argument("--function", help="benchmark name or 'all'")
-    run.add_argument("--dim", help="2, 3, 4 or 'all'")
-    run.add_argument("--runs", type=int)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--generations", type=int)
-    run.add_argument("--pop", type=int)
-    run.add_argument("--pso-iters", type=int, dest="pso_iters")
-    run.add_argument("--rmse-samples", type=int, dest="rmse_samples")
-    run.add_argument("--out", help="output directory for CSVs")
-    run.add_argument("--workers", type=int)
-    run.add_argument("--config", help="key=value settings file")
-
-    surface = sub.add_parser(
-        "surface", help="export a 2-D grid of target vs surrogate values")
-    surface.add_argument("--function")
-    surface.add_argument("--seed", type=int)
-    surface.add_argument("--resolution", type=int)
-    surface.add_argument("--generations", type=int)
-    surface.add_argument("--pop", type=int)
-    surface.add_argument("--pso-iters", type=int, dest="pso_iters")
-    surface.add_argument("--rmse-samples", type=int, dest="rmse_samples")
-    surface.add_argument("--out", help="output CSV file")
-    surface.add_argument(
-        "--program",
-        help="postfix program text to export instead of evolving one")
-    surface.add_argument("--config", help="key=value settings file")
+    commands = {
+        "run": sub.add_parser("run", help="execute a seeded multi-run campaign"),
+        "surface": sub.add_parser(
+            "surface", help="export a 2-D grid of target vs surrogate values"),
+    }
+    for key, kind, text, _, defaults in _SETTINGS:
+        for command in defaults:
+            commands[command].add_argument(
+                "--" + key.replace("_", "-"), type=kind, dest=key, help=text)
+    for command in commands.values():
+        command.add_argument("--config", help="key=value settings file")
 
     catalog = sub.add_parser("catalog", help="dump the benchmark catalog CSV")
     catalog.add_argument("--out", help="output CSV file (stdout if omitted)")
@@ -94,36 +73,33 @@ def _load_config_file(path: str) -> dict:
     return settings
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    from_file = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = set(from_file) - set(defaults)
+def _resolve(args: argparse.Namespace) -> dict:
+    """Each setting of the command: CLI flag, else config file, else default."""
+    own = {key: (kind, defaults[args.command])
+           for key, kind, _, _, defaults in _SETTINGS if args.command in defaults}
+    from_file = _load_config_file(args.config) if args.config else {}
+    unknown = set(from_file) - set(own)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     resolved = {}
-    for key, fallback in defaults.items():
-        value = getattr(args, key, None)
+    for key, (kind, default) in own.items():
+        value = getattr(args, key)
         if value is None and key in from_file:
-            value = from_file[key]
-            if key in _INT_KEYS:
-                value = int(value)
-        if value is None:
-            value = fallback
-        resolved[key] = value
+            value = kind(from_file[key])
+        resolved[key] = default if value is None else value
     return resolved
 
 
 def _overrides(settings: dict) -> dict:
-    mapping = {"generations": "generations", "pop": "population_size",
-               "pso_iters": "pso_iterations", "rmse_samples": "rmse_samples"}
-    return {cfg: settings[key] for key, cfg in mapping.items()
-            if settings[key] is not None}
+    return {field: settings[key] for key, _, _, field, _ in _SETTINGS
+            if field is not None and settings.get(key) is not None}
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    settings = _resolve(args, _RUN_DEFAULTS)
+    settings = _resolve(args)
     function = settings["function"].strip().lower()
     names = benchmarks.names() if function == "all" else [function]
-    dim_text = str(settings["dim"]).strip().lower()
+    dim_text = settings["dim"].strip().lower()
     dims = benchmarks.CATALOG_DIMENSIONS if dim_text == "all" else (int(dim_text),)
     campaign = Campaign(
         functions=tuple(names),
@@ -143,7 +119,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_surface(args: argparse.Namespace) -> int:
-    settings = _resolve(args, _SURFACE_DEFAULTS)
+    settings = _resolve(args)
     fn = benchmarks.get(settings["function"], 2)
     if settings["program"]:
         program = stackgp.parse(settings["program"], 2, default_const_range(fn))

@@ -26,6 +26,10 @@ dimensions (absorbing walls). ``optimize`` derives the box constants
 ``step``. A single ``optimize`` call is strictly sequential; independent
 calls with independent generators may run in parallel. The swarm size is
 ``floor(10 + 2 * sqrt(dimension))`` so no user-supplied setting is needed.
+
+Objectives are batch objectives: each maps an (n, D) array of points to an
+(n,) array of values, and the swarm evaluates all its particles in one call
+per iteration.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,7 +68,8 @@ _VMIN_SCALE = (
     (0.10, 0.20, 0.30),
 )
 
-# Stacked (5, 3, 3) view of the tables for the vectorized path.
+# The tables stacked as one (5, 3, 3) array, in the column order of
+# fuzzy_settings.
 _TABLES = np.array([_INERTIA, _COGNITIVE, _SOCIAL, _VMAX_SCALE, _VMIN_SCALE])
 
 VMIN_BASE_FRACTION = 0.01
@@ -78,31 +82,13 @@ def swarm_size(dimension: int) -> int:
     return int(10 + 2 * math.sqrt(dimension))
 
 
-@dataclass(frozen=True)
-class FuzzyInputs:
-    """Normalized per-particle signals feeding the rule base."""
+def fuzzy_settings(phi: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Zero-order Sugeno inference per particle.
 
-    phi: float
-    delta: float
-
-    def __post_init__(self):
-        if not -1.0 <= self.phi <= 1.0:
-            raise ValueError(f"phi must lie in [-1, 1], got {self.phi}")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
-
-
-class FuzzySettings(NamedTuple):
-    inertia: float
-    cognitive: float
-    social: float
-    vmax_scale: float
-    vmin_scale: float
-
-
-def _settings_batch(phi: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Zero-order Sugeno inference per particle: firing-strength-weighted
-    consequents, as a (P, 5) array of the FuzzySettings fields."""
+    ``phi`` in [-1, 1] and ``delta`` in [0, 1] are (P,) arrays. Returns the
+    firing-strength-weighted consequents as a (P, 5) array with columns
+    inertia, cognitive, social, vmax scale and vmin scale.
+    """
     mu = np.empty((6, phi.shape[0]))  # phi memberships, then delta memberships
     np.maximum(0.0, -phi, out=mu[0])
     np.subtract(1.0, np.abs(phi), out=mu[1])
@@ -117,29 +103,8 @@ def _settings_batch(phi: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return np.einsum("pij,kij->pk", weights, _TABLES) / total[:, None]
 
 
-def fuzzy_update(inputs: FuzzyInputs) -> FuzzySettings:
-    """The rule base of ``step`` applied to one particle's signals."""
-    settings = _settings_batch(np.array([inputs.phi]), np.array([inputs.delta]))
-    return FuzzySettings(*settings[0].tolist())
-
-
 # settings of a fresh swarm: no performance change, mid distance
-_NEUTRAL = fuzzy_update(FuzzyInputs(0.0, 0.5))
-
-
-@dataclass(frozen=True)
-class Particle:
-    """Read-only view of one particle's state and last-applied settings."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    best_position: np.ndarray
-    best_value: float
-    inertia: float
-    cognitive: float
-    social: float
-    vmax: np.ndarray
-    vmin: np.ndarray
+_NEUTRAL = tuple(fuzzy_settings(np.array([0.0]), np.array([0.5]))[0].tolist())
 
 
 @dataclass
@@ -162,23 +127,6 @@ class SwarmState:
     iteration: int = 0
     evaluations_used: int = 0
 
-    @property
-    def particles(self) -> list[Particle]:
-        return [
-            Particle(
-                position=self.positions[i].copy(),
-                velocity=self.velocities[i].copy(),
-                best_position=self.best_positions[i].copy(),
-                best_value=float(self.best_values[i]),
-                inertia=float(self.inertia[i]),
-                cognitive=float(self.cognitive[i]),
-                social=float(self.social[i]),
-                vmax=self.vmax[i].copy(),
-                vmin=self.vmin[i].copy(),
-            )
-            for i in range(self.positions.shape[0])
-        ]
-
 
 # constants of a bounds box, derived once per swarm by _box
 _Box = namedtuple("_Box", "lo hi span diagonal")
@@ -197,25 +145,15 @@ def _box(bounds) -> _Box:
     return _Box(lo, hi, span, float(np.linalg.norm(span)))
 
 
-def _as_batch(objective: Callable, vectorized: bool) -> Callable:
-    if vectorized:
-        return objective
-
-    def batched(points: np.ndarray) -> np.ndarray:
-        return np.array([float(objective(p)) for p in points])
-
-    return batched
-
-
-def init_swarm(objective, bounds, rng, vectorized: bool = False) -> SwarmState:
+def init_swarm(objective, bounds, rng) -> SwarmState:
     """Place the swarm uniformly in the box and evaluate it once."""
     rng = np.random.default_rng(rng)
     lo, _, span, _ = _box(bounds)
     dim = lo.shape[0]
     size = swarm_size(dim)
-    obj = _as_batch(objective, vectorized)
+    inertia, cognitive, social, vmax_scale, vmin_scale = _NEUTRAL
     positions = lo + rng.random((size, dim)) * span
-    values = np.asarray(obj(positions), dtype=float)
+    values = np.asarray(objective(positions), dtype=float)
     gi = int(np.argmin(values))
     return SwarmState(
         positions=positions,
@@ -226,17 +164,16 @@ def init_swarm(objective, bounds, rng, vectorized: bool = False) -> SwarmState:
         best_values=values.copy(),
         global_best_position=positions[gi].copy(),
         global_best_value=float(values[gi]),
-        inertia=np.full(size, _NEUTRAL.inertia),
-        cognitive=np.full(size, _NEUTRAL.cognitive),
-        social=np.full(size, _NEUTRAL.social),
-        vmax=np.tile(_NEUTRAL.vmax_scale * span, (size, 1)),
-        vmin=np.tile(_NEUTRAL.vmin_scale * VMIN_BASE_FRACTION * span, (size, 1)),
+        inertia=np.full(size, inertia),
+        cognitive=np.full(size, cognitive),
+        social=np.full(size, social),
+        vmax=np.tile(vmax_scale * span, (size, 1)),
+        vmin=np.tile(vmin_scale * VMIN_BASE_FRACTION * span, (size, 1)),
         evaluations_used=size,
     )
 
 
-def step(state: SwarmState, objective, bounds, rng,
-         vectorized: bool = False) -> SwarmState:
+def step(state: SwarmState, objective, bounds, rng) -> SwarmState:
     """Advance the swarm one iteration (one objective pass); returns state.
 
     All particles move against the global best from the iteration start;
@@ -245,7 +182,6 @@ def step(state: SwarmState, objective, bounds, rng,
     """
     rng = np.random.default_rng(rng)
     lo, hi, span, diagonal = _box(bounds)
-    obj = _as_batch(objective, vectorized)
     size, dim = state.positions.shape
 
     phi = (state.values - state.prev_values) / (np.abs(state.prev_values) + 1.0)
@@ -258,7 +194,7 @@ def step(state: SwarmState, objective, bounds, rng,
     else:
         delta = np.zeros(size)
 
-    settings = _settings_batch(phi, delta)
+    settings = fuzzy_settings(phi, delta)
     inertia, cognitive, social = settings[:, 0], settings[:, 1], settings[:, 2]
     vmax = settings[:, 3, None] * span
     vmin = settings[:, 4, None] * VMIN_BASE_FRACTION * span
@@ -275,7 +211,7 @@ def step(state: SwarmState, objective, bounds, rng,
     clamped = np.minimum(np.maximum(moved, lo), hi)
     velocity = np.where(moved != clamped, 0.0, velocity)
 
-    values = np.asarray(obj(clamped), dtype=float)
+    values = np.asarray(objective(clamped), dtype=float)
 
     state.prev_values = state.values
     state.positions = clamped
@@ -295,13 +231,13 @@ def step(state: SwarmState, objective, bounds, rng,
     return state
 
 
-def optimize(objective, bounds, budget: int, rng,
-             vectorized: bool = False) -> tuple[np.ndarray, float]:
+def optimize(objective, bounds, budget: int, rng) -> tuple[np.ndarray, float]:
     """Minimize ``objective`` over the box within an evaluation budget.
 
     Args:
-        objective: callable mapping a point to a value, or, with
-            ``vectorized=True``, an (n, D) array to an (n,) array.
+        objective: batch objective mapping an (n, D) array of points to an
+            (n,) array of values; called once per swarm pass with n equal
+            to the swarm size.
         bounds: (D, 2) array of per-dimension (lo, hi).
         budget: maximum number of objective evaluations; must cover at
             least one full swarm pass.
@@ -316,9 +252,8 @@ def optimize(objective, bounds, budget: int, rng,
     size = swarm_size(box.lo.shape[0])
     if budget < size:
         raise ValueError(f"budget {budget} below swarm size {size}")
-    obj = _as_batch(objective, vectorized)
-    state = init_swarm(obj, box, rng, vectorized=True)
+    state = init_swarm(objective, box, rng)
     while state.evaluations_used + size <= budget:
-        step(state, obj, box, rng, vectorized=True)
+        step(state, objective, box, rng)
     assert state.evaluations_used <= budget
     return state.global_best_position.copy(), float(state.global_best_value)

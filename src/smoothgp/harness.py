@@ -6,7 +6,8 @@ per-run results plus a text artifact with the winning programs, and one
 ``summary.csv`` row per pair. Runs may execute concurrently; outputs are
 ordered by run index before writing, so bytes never depend on scheduling.
 Rerunning a partially completed campaign skips run rows that already exist
-on disk and preserves their bytes.
+on disk and preserves their bytes; a kept row written with another base
+seed is an error.
 
 Median convention: for even run counts the lower-middle element is used.
 All CSVs use '.' decimals, LF line endings and UTF-8.
@@ -238,8 +239,10 @@ def run_campaign(campaign: Campaign) -> CampaignResult:
     """Execute a campaign, write its CSV outputs, and aggregate statistics.
 
     Existing per-run rows in the output directory are reused untouched;
-    only missing (function, dimension, run) triples are computed. Partial
-    results are flushed to disk even when a run fails.
+    only missing (function, dimension, run) triples are computed. A kept
+    row whose seed is not ``base_seed + run`` raises ValueError before any
+    run starts or any file is written. Partial results are flushed to disk
+    even when a run fails.
     """
     out = Path(campaign.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -247,15 +250,22 @@ def run_campaign(campaign: Campaign) -> CampaignResult:
     existing_programs = {}
     tasks = []
     for name, dim in campaign.pairs():
-        # a truncated or garbled row counts as missing and is recomputed
-        existing_rows[(name, dim)] = {
-            run: line for run, line in _read_keyed_lines(
-                pair_csv_path(out, name, dim), key_field=2, sep=",").items()
-            if _parse_row(line, dim) is not None}
+        path = pair_csv_path(out, name, dim)
+        kept = existing_rows[(name, dim)] = {}
+        for run, line in _read_keyed_lines(path, key_field=2, sep=",").items():
+            row = _parse_row(line, dim)
+            if row is None:
+                continue  # a truncated or garbled row is recomputed
+            if row.seed != campaign.base_seed + run:
+                raise ValueError(
+                    f"{path}: run {run} has seed {row.seed}, expected "
+                    f"{campaign.base_seed + run} from base seed "
+                    f"{campaign.base_seed}")
+            kept[run] = line
         existing_programs[(name, dim)] = _read_keyed_lines(
             pair_programs_path(out, name, dim), key_field=0, sep="\t")
         for run in range(campaign.runs):
-            if run not in existing_rows[(name, dim)]:
+            if run not in kept:
                 tasks.append((name, dim, run, campaign.base_seed + run,
                               dict(campaign.overrides)))
     computed = {}

@@ -112,7 +112,7 @@ def fitness(program: Program, fn: BenchmarkFunction,
     budget = pso_iterations * fstpso.swarm_size(fn.dimension)
     argmin, pso_min = fstpso.optimize(
         lambda pts: stackgp.interpret_batch(program, pts),
-        fn.bounds, budget, rng, vectorized=True)
+        fn.bounds, budget, rng)
     f_at = fn.evaluate(argmin)
     with np.errstate(over="ignore"):
         residual = values - stackgp.interpret_batch(program, points)

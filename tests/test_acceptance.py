@@ -96,10 +96,10 @@ def test_criterion_3_pso_oracle_suite():
             return np.sum(points * points, axis=1)
 
         rng = np.random.default_rng(seed)
-        state = fstpso.init_swarm(sphere, bounds, rng, vectorized=True)
+        state = fstpso.init_swarm(sphere, bounds, rng)
         best = state.global_best_value
         while state.evaluations_used + size <= 4000:
-            fstpso.step(state, sphere, bounds, rng, vectorized=True)
+            fstpso.step(state, sphere, bounds, rng)
             assert state.global_best_value <= best  # monotone on every run
             best = state.global_best_value
         assert calls["n"] <= 4000  # budget exactness on every run

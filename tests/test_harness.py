@@ -279,6 +279,18 @@ class TestCli:
         assert cli.main(argv) == 0
         assert path.read_text() == full
 
+    def test_resume_with_another_base_seed_fails(self, tmp_path, capsys):
+        argv = ["run", "--function", "rastrigin", "--dim", "2",
+                "--generations", "2", "--pop", "6", "--pso-iters", "10",
+                "--rmse-samples", "20", "--out", str(tmp_path)]
+        assert cli.main(argv + ["--runs", "2", "--seed", "0"]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert cli.main(argv + ["--runs", "3", "--seed", "9"]) == 1
+        error = capsys.readouterr().err
+        assert "rastrigin_d2.csv" in error and "run 0" in error
+        assert "seed 0" in error and "expected 9" in error
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_unknown_config_key_fails(self, tmp_path):
         config = tmp_path / "settings.cfg"
         config.write_text("nonsense = 1\n")
@@ -287,3 +299,25 @@ class TestCli:
     def test_invalid_function_fails(self, tmp_path):
         assert cli.main(["run", "--function", "nosuch",
                          "--out", str(tmp_path)]) == 1
+
+    def test_non_integer_config_value_fails(self, tmp_path, capsys):
+        config = tmp_path / "settings.cfg"
+        config.write_text("runs = abc\n")
+        assert cli.main(["run", "--config", str(config),
+                         "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_key_of_other_command_fails(self, tmp_path):
+        config = tmp_path / "settings.cfg"
+        config.write_text("runs = 2\n")
+        assert cli.main(["surface", "--config", str(config),
+                         "--out", str(tmp_path / "grid.csv")]) == 1
+
+    def test_surface_reads_config_file(self, tmp_path):
+        config = tmp_path / "settings.cfg"
+        config.write_text("resolution = 3\npso_iters = 10\n"
+                          "program = x0 x0 * x1 x1 * +\n")
+        path = tmp_path / "grid.csv"
+        assert cli.main(["surface", "--config", str(config),
+                         "--out", str(path)]) == 0
+        assert len(path.read_text().splitlines()) == 10
