@@ -2,7 +2,8 @@
 
 Setting precedence is CLI flag > config file (key=value lines, '#' starts
 a comment) > built-in default. Exit status is 0 on success and 1 on
-configuration or I/O errors.
+configuration or I/O errors; argparse rejects a malformed command line
+with status 2.
 """
 
 from __future__ import annotations
