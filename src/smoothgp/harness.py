@@ -7,7 +7,9 @@ per-run results plus a text artifact with the winning programs, and one
 ordered by run index before writing, so bytes never depend on scheduling.
 Rerunning a partially completed campaign skips run rows that already exist
 on disk and preserves their bytes; a kept row written with another base
-seed is an error.
+seed, or for a run index the campaign does not have, is an error. Every
+file is written to a sibling temp file and moved onto its path with
+``os.replace``, so a crash mid-write leaves the old file intact.
 
 Median convention: for even run counts the lower-middle element is used.
 All CSVs use '.' decimals, LF line endings and UTF-8.
@@ -15,7 +17,8 @@ All CSVs use '.' decimals, LF line endings and UTF-8.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 
@@ -147,6 +150,8 @@ def _execute(tasks, workers: int, done: dict) -> None:
         for task in tasks:
             done[task[:3]] = _run_task(task)
         return
+    # imported here: the pool modules add ~1.4 MB to every process that loads them
+    from concurrent.futures import ProcessPoolExecutor, as_completed
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {pool.submit(_run_task, task): task for task in tasks}
         for future in as_completed(futures):
@@ -201,8 +206,30 @@ def _read_keyed_lines(path: Path, key_field: int, sep: str) -> dict[int, str]:
     return keyed
 
 
+@contextmanager
+def _replacing(path: Path):
+    """A text handle on a sibling temp file that replaces ``path`` on success.
+
+    On an exception the temp file is deleted and ``path`` keeps its bytes.
+    A pipe or device, such as /dev/stdout, cannot be replaced and is
+    written in place.
+    """
+    if path.exists() and not path.is_file():
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        return
+    temp = path.with_name(path.name + ".tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def _write_lines(path: Path, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with _replacing(path) as handle:
         for line in lines:
             handle.write(line + "\n")
 
@@ -235,14 +262,21 @@ def _write_pair_outputs(campaign: Campaign, existing_rows, existing_programs,
         _write_lines(pair_programs_path(out, name, dim), program_lines)
 
 
+def _check_run_in_range(path: Path, run: int, runs: int) -> None:
+    if run >= runs:
+        raise ValueError(f"{path}: run {run} is outside the campaign's {runs} "
+                         f"runs; rewriting the file would drop it")
+
+
 def run_campaign(campaign: Campaign) -> CampaignResult:
     """Execute a campaign, write its CSV outputs, and aggregate statistics.
 
     Existing per-run rows in the output directory are reused untouched;
     only missing (function, dimension, run) triples are computed. A kept
-    row whose seed is not ``base_seed + run`` raises ValueError before any
-    run starts or any file is written. Partial results are flushed to disk
-    even when a run fails.
+    row whose seed is not ``base_seed + run``, or a kept row or program
+    line whose run is ``campaign.runs`` or more, raises ValueError before
+    any run starts or any file is written. Partial results are flushed to
+    disk even when a run fails.
     """
     out = Path(campaign.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -256,14 +290,18 @@ def run_campaign(campaign: Campaign) -> CampaignResult:
             row = _parse_row(line, dim)
             if row is None:
                 continue  # a truncated or garbled row is recomputed
+            _check_run_in_range(path, run, campaign.runs)
             if row.seed != campaign.base_seed + run:
                 raise ValueError(
                     f"{path}: run {run} has seed {row.seed}, expected "
                     f"{campaign.base_seed + run} from base seed "
                     f"{campaign.base_seed}")
             kept[run] = line
+        programs_path = pair_programs_path(out, name, dim)
         existing_programs[(name, dim)] = _read_keyed_lines(
-            pair_programs_path(out, name, dim), key_field=0, sep="\t")
+            programs_path, key_field=0, sep="\t")
+        for run in existing_programs[(name, dim)]:
+            _check_run_in_range(programs_path, run, campaign.runs)
         for run in range(campaign.runs):
             if run not in kept:
                 tasks.append((name, dim, run, campaign.base_seed + run,
@@ -313,25 +351,24 @@ def export_surface_grid(fn: BenchmarkFunction, program: Program,
         raise ValueError("surface export requires dimension 2")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    axis0 = np.linspace(fn.lower, fn.upper, resolution)
-    axis1 = np.linspace(fn.lower, fn.upper, resolution)
-    grid = np.column_stack([np.repeat(axis0, resolution),
-                            np.tile(axis1, resolution)])
-    original = fn.evaluate_batch(grid).reshape(resolution, resolution)
-    surrogate_values = stackgp.interpret_batch(program, grid).reshape(
-        resolution, resolution)
-    labels1 = [_format(x1) for x1 in axis1.tolist()]
+    axis = np.linspace(fn.lower, fn.upper, resolution)
+    labels = [_format(x1) for x1 in axis.tolist()]
+    block = np.empty((resolution, 2))
+    block[:, 1] = axis
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
-    # one block of rows per x0 value; each axis value is formatted once
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    # one x0 row at a time: only a (resolution, 2) block is ever evaluated
+    with _replacing(path) as handle:
         handle.write("x0,x1,f_original,f_surrogate\n")
-        for x0, f_orig, f_surr in zip(axis0.tolist(), original, surrogate_values):
+        for x0 in axis.tolist():
+            block[:, 0] = x0
+            original = fn.evaluate_batch(block).tolist()
+            surrogate_values = stackgp.interpret_batch(program, block).tolist()
             prefix = _format(x0) + ","
             handle.write("".join([
                 f"{prefix}{x1},{a!r},{b!r}\n"
-                for x1, a, b in zip(labels1, f_orig.tolist(), f_surr.tolist())]))
+                for x1, a, b in zip(labels, original, surrogate_values)]))
     return path
 
 
@@ -346,8 +383,6 @@ def dump_catalog(path=None) -> str:
             fn.name, str(fn.dimension), _format(fn.lower), _format(fn.upper),
             minimum, argmin, "true" if fn.verified else "false",
         ]))
-    text = "\n".join(lines) + "\n"
     if path is not None:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    return text
+        _write_lines(Path(path), lines)
+    return "\n".join(lines) + "\n"

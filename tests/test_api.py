@@ -1,6 +1,9 @@
 """Package surface checks: no unused imports, every exported name resolves."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,12 @@ def test_unused_import_is_detected():
 def test_exported_names_resolve():
     missing = [name for name in smoothgp.__all__ if not hasattr(smoothgp, name)]
     assert not missing
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    # the pool is imported only by a campaign that starts one
+    probe = "import sys, smoothgp.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(smoothgp.__file__).parent.parent))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, check=True, env=env)
+    assert result.stdout.strip() == "False"

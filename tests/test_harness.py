@@ -1,5 +1,9 @@
 """Campaign driver tests: CSV schemas, determinism, resumability, CLI."""
 
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,6 +114,64 @@ class TestSurfaceGrid:
             export_surface_grid(fn, stackgp.parse("0.0", 3), 4,
                                 tmp_path / "grid.csv")
 
+    def test_export_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # a whole-grid evaluation at 256^2 peaks near 4 MB; one row is ~0.1 MB
+        fn = benchmarks.get("rastrigin", 2)
+        program = stackgp.parse("x0 x0 * x1 x1 * + 2.5 x0 * -", 2)
+        tracemalloc.start()
+        try:
+            export_surface_grid(fn, program, 256, tmp_path / "grid.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_failed_export_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "grid.csv"
+        path.write_text("old grid\n")
+        calls = []
+
+        def failing(program, points):
+            calls.append(len(points))
+            if len(calls) == 3:
+                raise RuntimeError("interpreter failed")
+            return np.zeros(len(points))
+
+        monkeypatch.setattr(stackgp, "interpret_batch", failing)
+        with pytest.raises(RuntimeError):
+            export_surface_grid(benchmarks.get("rastrigin", 2),
+                                stackgp.parse("0.0", 2), 5, path)
+        assert calls == [5, 5, 5]
+        assert path.read_text() == "old grid\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
+
+
+class TestWriteLines:
+    def test_failure_midway_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        path.write_text("old\n")
+
+        def lines():
+            yield "new header"
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError):
+            harness._write_lines(path, lines())
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
+
+    def test_pipe_is_written_in_place(self, tmp_path):
+        path = tmp_path / "out.csv"
+        os.mkfifo(path)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(path.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        harness._write_lines(path, ["a", "b"])
+        reader.join(timeout=10)
+        assert received == [b"a\nb\n"]
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
 
 class TestCampaignValidation:
     def test_unknown_function_rejected_before_running(self, tmp_path):
@@ -200,6 +262,20 @@ class TestRunCampaign:
         assert len(programs.read_text().splitlines()) == 4
         assert programs.read_text() == full_programs
         assert path.read_text() == full_rows
+
+    def test_rerun_with_fewer_runs_fails_and_keeps_files(self, tmp_path):
+        run_campaign(tiny_campaign(tmp_path, runs=3))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match=r"rastrigin_d2\.csv: run 2 .* 2 runs"):
+            run_campaign(tiny_campaign(tmp_path, runs=2))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_stale_program_line_fails(self, tmp_path):
+        run_campaign(tiny_campaign(tmp_path, runs=2))
+        programs = tmp_path / "rastrigin_d2_programs.txt"
+        programs.write_text(programs.read_text() + "2\t13\tx0\n")
+        with pytest.raises(ValueError, match=r"programs\.txt: run 2 .* 2 runs"):
+            run_campaign(tiny_campaign(tmp_path, runs=2))
 
     def test_execute_keeps_runs_finishing_after_a_failure(self):
         # the first task fails on its config at once; its sibling finishes later
