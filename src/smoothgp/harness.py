@@ -150,7 +150,7 @@ def _execute(tasks, workers: int, done: dict) -> None:
         for task in tasks:
             done[task[:3]] = _run_task(task)
         return
-    # imported here: the pool modules add ~1.4 MB to every process that loads them
+    # imported here: a one-worker run or a bare CLI import never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {pool.submit(_run_task, task): task for task in tasks}
@@ -211,10 +211,11 @@ def _replacing(path: Path):
     """A text handle on a sibling temp file that replaces ``path`` on success.
 
     On an exception the temp file is deleted and ``path`` keeps its bytes.
-    A pipe or device, such as /dev/stdout, cannot be replaced and is
-    written in place.
+    A symlink (such as /dev/stdout), pipe or device is written in place:
+    replacing it would swap the link or device for a plain file and leave
+    what it points to unwritten.
     """
-    if path.exists() and not path.is_file():
+    if path.is_symlink() or (path.exists() and not path.is_file()):
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
         return

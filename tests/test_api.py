@@ -1,4 +1,5 @@
-"""Package surface checks: no unused imports, every exported name resolves."""
+"""Package surface checks: no unused imports, every exported name resolves,
+and the CLI run as a process writes where its --out points."""
 
 import ast
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import smoothgp
+from smoothgp import benchmarks, harness, stackgp
 
 MODULES = sorted(Path(smoothgp.__file__).parent.glob("*.py"))
 
@@ -63,3 +65,34 @@ def test_cli_import_does_not_load_the_process_pool():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                             text=True, check=True, env=env)
     assert result.stdout.strip() == "False"
+
+
+
+def _run_cli_to_stdout_link(tmp_path, command):
+    # /dev/fd/1 is a link to stdout like /dev/stdout; a temp file next to it
+    # would land under /proc, so a regression fails here without side effects.
+    # Appending (as the shell's >>) keeps the status line after the output.
+    out = tmp_path / "out.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(smoothgp.__file__).parent.parent))
+    with open(out, "a") as handle:
+        subprocess.run([sys.executable, "-m", "smoothgp.cli", *command,
+                        "--out", "/dev/fd/1"], stdout=handle, check=True, env=env)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "reference.csv"]
+    return out.read_text()
+
+
+def test_catalog_to_stdout_link_reaches_redirected_file(tmp_path):
+    reference = tmp_path / "reference.csv"
+    text = harness.dump_catalog(reference)
+    assert _run_cli_to_stdout_link(tmp_path, ["catalog"]) == (
+        text + "catalog written to /dev/fd/1\n")
+
+
+def test_surface_to_stdout_link_reaches_redirected_file(tmp_path):
+    reference = harness.export_surface_grid(
+        benchmarks.get("rastrigin", 2), stackgp.parse("x0 x1 *", 2), 3,
+        tmp_path / "reference.csv")
+    command = ["surface", "--function", "rastrigin", "--resolution", "3",
+               "--program", "x0 x1 *"]
+    assert _run_cli_to_stdout_link(tmp_path, command) == (
+        reference.read_text() + "surface grid written to /dev/fd/1\n")

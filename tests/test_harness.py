@@ -172,6 +172,16 @@ class TestWriteLines:
         assert received == [b"a\nb\n"]
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        harness._write_lines(link, ["a", "b"])
+        assert link.is_symlink()
+        assert target.read_text() == "a\nb\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
 
 class TestCampaignValidation:
     def test_unknown_function_rejected_before_running(self, tmp_path):
