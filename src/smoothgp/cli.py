@@ -128,10 +128,10 @@ def _cmd_surface(args: argparse.Namespace) -> int:
         config = harness.config_for(
             dimension=2, seed=settings["seed"], overrides=_overrides(settings))
         program = evolve(fn, config).best.program
-        print(f"evolved surrogate: {stackgp.render(program)}")
+        print(f"evolved surrogate: {stackgp.render(program)}", file=sys.stderr)
     path = harness.export_surface_grid(
         fn, program, settings["resolution"], settings["out"])
-    print(f"surface grid written to {path}")
+    print(f"surface grid written to {path}", file=sys.stderr)
     return 0
 
 
@@ -140,7 +140,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        print(f"catalog written to {args.out}")
+        print(f"catalog written to {args.out}", file=sys.stderr)
     return 0
 
 

@@ -22,10 +22,13 @@ Velocity limits derive from the box edge lengths: ``vmax = vmax_scale *
 (hi - lo)`` and ``vmin = vmin_scale * 0.01 * (hi - lo)`` per dimension.
 Positions are clamped to the box with the velocity zeroed on clamped
 dimensions (absorbing walls). ``optimize`` derives the box constants
-(bounds, edge lengths, diagonal) once per swarm and hands them to every
-``step``. A single ``optimize`` call is strictly sequential; independent
-calls with independent generators may run in parallel. The swarm size is
-``floor(10 + 2 * sqrt(dimension))`` so no user-supplied setting is needed.
+(bounds, edge lengths, diagonal) once per swarm and runs all iterations in
+one ``_advance`` loop, which reads the ``SwarmState`` into locals once,
+works in scratch arrays allocated once, and writes the state back once at
+the end; ``step`` is one iteration of that loop. A single ``optimize`` call
+is strictly sequential; independent calls with independent generators may
+run in parallel. The swarm size is ``floor(10 + 2 * sqrt(dimension))`` so
+no user-supplied setting is needed.
 
 Objectives are batch objectives: each maps an (n, D) array of points to an
 (n,) array of values, and the swarm evaluates all its particles in one call
@@ -82,6 +85,39 @@ def swarm_size(dimension: int) -> int:
     return int(10 + 2 * math.sqrt(dimension))
 
 
+def _rule_base(size: int):
+    """Buffers of the rule base for ``size`` particles, and their filler.
+
+    Returns ``(signals, settings, infer)``. ``infer()`` reads the (2, P)
+    ``signals`` array, ``phi`` then ``2 * delta - 1``, and writes the (P, 5)
+    ``settings``. Both partitions are then Better/Near ``max(0, -s)``,
+    Same/Mid ``1 - |s|`` and Worse/Far ``max(0, s)``. The firing strengths
+    go into a C-ordered (P, 3, 3) buffer, which fixes the summation order of
+    their total and of ``einsum``.
+    """
+    signals = np.empty((2, size))
+    mu = np.empty((3, 2, size))
+    near, mid, far = mu
+    phi_mu, delta_mu = mu[:, 0].T[:, :, None], mu[:, 1].T[:, None, :]
+    weights = np.empty((size, 3, 3))
+    total = np.empty(size)
+    total_column = total[:, None]
+    settings = np.empty((size, 5))
+
+    def infer() -> None:
+        np.negative(signals, out=near)
+        np.maximum(0.0, near, out=near)
+        np.abs(signals, out=mid)
+        np.subtract(1.0, mid, out=mid)
+        np.maximum(0.0, signals, out=far)
+        np.multiply(phi_mu, delta_mu, out=weights)
+        np.add.reduce(weights, axis=(1, 2), out=total)
+        np.einsum("pij,kij->pk", weights, _TABLES, out=settings)
+        np.divide(settings, total_column, out=settings)
+
+    return signals, settings, infer
+
+
 def fuzzy_settings(phi: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Zero-order Sugeno inference per particle.
 
@@ -89,18 +125,11 @@ def fuzzy_settings(phi: np.ndarray, delta: np.ndarray) -> np.ndarray:
     firing-strength-weighted consequents as a (P, 5) array with columns
     inertia, cognitive, social, vmax scale and vmin scale.
     """
-    mu = np.empty((6, phi.shape[0]))  # phi memberships, then delta memberships
-    np.maximum(0.0, -phi, out=mu[0])
-    np.subtract(1.0, np.abs(phi), out=mu[1])
-    np.maximum(0.0, phi, out=mu[2])
-    two_delta = 2.0 * delta
-    np.maximum(0.0, 1.0 - two_delta, out=mu[3])
-    np.subtract(1.0, 2.0 * np.abs(delta - 0.5), out=mu[4])
-    np.maximum(0.0, two_delta - 1.0, out=mu[5])
-    # C order keeps the summation order of the sum and einsum below
-    weights = np.multiply(mu[:3].T[:, :, None], mu[3:].T[:, None, :], order="C")
-    total = np.add.reduce(weights, axis=(1, 2))
-    return np.einsum("pij,kij->pk", weights, _TABLES) / total[:, None]
+    signals, settings, infer = _rule_base(phi.shape[0])
+    signals[0] = phi
+    np.subtract(2.0 * delta, 1.0, out=signals[1])
+    infer()
+    return settings
 
 
 # settings of a fresh swarm: no performance change, mid distance
@@ -173,61 +202,122 @@ def init_swarm(objective, bounds, rng) -> SwarmState:
     )
 
 
+def _advance(state: SwarmState, objective, box: _Box, rng, iterations: int) -> None:
+    """Run ``iterations`` swarm iterations on ``state``.
+
+    The state is read into locals once and written back once at the end;
+    the scratch arrays and their views are made once per call. All particles
+    move against the global best from the iteration start; personal and
+    global bests are updated afterwards and never worsen. No array the state
+    held before the call is modified, and every objective call gets a fresh
+    array of points.
+    """
+    if iterations <= 0:
+        return
+    lo, hi, span, diagonal = box
+    size, dim = state.positions.shape
+    positions, values, prev_values = state.positions, state.values, state.prev_values
+    best_positions = state.best_positions.copy()
+    best_values = state.best_values.copy()
+    global_best_position = state.global_best_position
+    global_best_value = state.global_best_value
+
+    signals, settings, infer = _rule_base(size)
+    phi, unit_delta = signals  # unit_delta holds 2 * delta - 1
+    vmax_scale, vmin_scale = settings[:, 3, None], settings[:, 4, None]
+    vmax = np.empty((size, dim))
+    vmin = np.empty((size, dim))
+    vmin_fraction = np.empty((size, 1))
+    # velocity = (inertia * v + cognitive * r_cog * (pbest - x))
+    #            + social * r_soc * (gbest - x), as one (3, P, D) product
+    coefficients = settings[:, :3].T[:, :, None]
+    draws = np.ones((3, size, dim))
+    random_draws = draws[1:]
+    factors = np.empty((3, size, dim))
+    terms = np.empty((3, size, dim))
+    velocity, to_best, to_global_best = terms
+    velocity[...] = state.velocities
+    offset = np.empty((size, dim))
+    speed = np.empty((size, dim))
+    moved = np.empty((size, dim))
+    walled = np.empty((size, dim), dtype=bool)
+    improved = np.empty(size, dtype=bool)
+    improved_rows = improved[:, None]
+
+    for _ in range(iterations):
+        np.subtract(values, prev_values, out=phi)
+        np.abs(prev_values, out=unit_delta)
+        unit_delta += 1.0
+        phi /= unit_delta
+        np.maximum(phi, -1.0, out=phi)
+        np.minimum(phi, 1.0, out=phi)
+        # after the clamp phi is finite unless it holds a NaN
+        if math.isnan(phi.dot(phi)):
+            phi[np.isnan(phi)] = 0.0
+        if diagonal > 0.0:
+            np.subtract(positions, global_best_position, out=offset)
+            offset *= offset
+            np.add.reduce(offset, axis=1, out=unit_delta)
+            np.sqrt(unit_delta, out=unit_delta)
+            unit_delta /= diagonal
+            np.minimum(unit_delta, 1.0, out=unit_delta)
+            unit_delta *= 2.0
+            unit_delta -= 1.0
+        else:
+            unit_delta.fill(-1.0)
+        infer()
+        np.multiply(vmax_scale, span, out=vmax)
+        np.multiply(vmin_scale, VMIN_BASE_FRACTION, out=vmin_fraction)
+        np.multiply(vmin_fraction, span, out=vmin)
+
+        # one draw of both factors keeps the stream of two consecutive draws
+        rng.random(out=random_draws)
+        np.multiply(coefficients, draws, out=factors)
+        np.subtract(best_positions, positions, out=to_best)
+        np.subtract(global_best_position, positions, out=to_global_best)
+        factors *= terms
+        np.add.reduce(factors, axis=0, out=velocity)
+        # Magnitude clamp preserves sign; exact zeros stay zero.
+        np.abs(velocity, out=speed)
+        np.maximum(speed, vmin, out=speed)
+        np.minimum(speed, vmax, out=speed)
+        np.sign(velocity, out=velocity)
+        velocity *= speed
+
+        np.add(positions, velocity, out=moved)
+        positions = np.maximum(moved, lo)
+        np.minimum(positions, hi, out=positions)
+        np.not_equal(moved, positions, out=walled)
+        np.copyto(velocity, 0.0, where=walled)
+
+        prev_values = values
+        values = np.asarray(objective(positions), dtype=float)
+        np.less(values, best_values, out=improved)
+        np.copyto(best_positions, positions, where=improved_rows)
+        np.copyto(best_values, values, where=improved)
+        gi = int(best_values.argmin())
+        if best_values[gi] < global_best_value:
+            global_best_value = float(best_values[gi])
+            global_best_position = best_positions[gi].copy()
+
+    state.positions, state.velocities = positions, velocity
+    state.values, state.prev_values = values, prev_values
+    state.best_positions, state.best_values = best_positions, best_values
+    state.global_best_position = global_best_position
+    state.global_best_value = global_best_value
+    state.inertia, state.cognitive, state.social = settings[:, :3].T
+    state.vmax, state.vmin = vmax, vmin
+    state.iteration += iterations
+    state.evaluations_used += iterations * size
+
+
 def step(state: SwarmState, objective, bounds, rng) -> SwarmState:
     """Advance the swarm one iteration (one objective pass); returns state.
 
-    All particles move against the global best from the iteration start;
-    personal and global bests are updated afterwards and never worsen.
-    ``bounds`` may also be the box ``optimize`` derived once for the swarm.
+    One iteration of the loop ``optimize`` runs. ``bounds`` may also be the
+    box ``optimize`` derived once for the swarm.
     """
-    rng = np.random.default_rng(rng)
-    lo, hi, span, diagonal = _box(bounds)
-    size, dim = state.positions.shape
-
-    phi = (state.values - state.prev_values) / (np.abs(state.prev_values) + 1.0)
-    phi = np.minimum(np.maximum(phi, -1.0), 1.0)
-    phi = np.where(np.isnan(phi), 0.0, phi)
-    if diagonal > 0.0:
-        offset = state.positions - state.global_best_position
-        dist = np.sqrt(np.add.reduce(offset * offset, axis=1))
-        delta = np.minimum(dist / diagonal, 1.0)
-    else:
-        delta = np.zeros(size)
-
-    settings = fuzzy_settings(phi, delta)
-    inertia, cognitive, social = settings[:, 0], settings[:, 1], settings[:, 2]
-    vmax = settings[:, 3, None] * span
-    vmin = settings[:, 4, None] * VMIN_BASE_FRACTION * span
-
-    # one draw of both factors keeps the stream of two consecutive draws
-    r_cog, r_soc = rng.random((2, size, dim))
-    velocity = (inertia[:, None] * state.velocities
-                + cognitive[:, None] * r_cog * (state.best_positions - state.positions)
-                + social[:, None] * r_soc * (state.global_best_position - state.positions))
-    # Magnitude clamp preserves sign; exact zeros stay zero.
-    velocity = np.sign(velocity) * np.minimum(np.maximum(np.abs(velocity), vmin), vmax)
-
-    moved = state.positions + velocity
-    clamped = np.minimum(np.maximum(moved, lo), hi)
-    velocity = np.where(moved != clamped, 0.0, velocity)
-
-    values = np.asarray(objective(clamped), dtype=float)
-
-    state.prev_values = state.values
-    state.positions = clamped
-    state.velocities = velocity
-    state.values = values
-    improved = values < state.best_values
-    state.best_positions = np.where(improved[:, None], clamped, state.best_positions)
-    state.best_values = np.where(improved, values, state.best_values)
-    gi = int(state.best_values.argmin())
-    if state.best_values[gi] < state.global_best_value:
-        state.global_best_value = float(state.best_values[gi])
-        state.global_best_position = state.best_positions[gi].copy()
-    state.inertia, state.cognitive, state.social = inertia, cognitive, social
-    state.vmax, state.vmin = vmax, vmin
-    state.iteration += 1
-    state.evaluations_used += size
+    _advance(state, objective, _box(bounds), np.random.default_rng(rng), 1)
     return state
 
 
@@ -253,7 +343,6 @@ def optimize(objective, bounds, budget: int, rng) -> tuple[np.ndarray, float]:
     if budget < size:
         raise ValueError(f"budget {budget} below swarm size {size}")
     state = init_swarm(objective, box, rng)
-    while state.evaluations_used + size <= budget:
-        step(state, objective, box, rng)
+    _advance(state, objective, box, rng, budget // size - 1)
     assert state.evaluations_used <= budget
     return state.global_best_position.copy(), float(state.global_best_value)

@@ -1,7 +1,9 @@
 """Package surface checks: no unused imports, every exported name resolves,
-and the CLI run as a process writes where its --out points."""
+the CLI run as a process writes where its --out points, and every name the
+benchmark's tracer wraps exists."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -67,25 +69,36 @@ def test_cli_import_does_not_load_the_process_pool():
     assert result.stdout.strip() == "False"
 
 
+def _run_cli_to_stdout_link(tmp_path, command, mode="a"):
+    """Run the CLI with ``--out /dev/fd/1`` and stdout opened on a file.
 
-def _run_cli_to_stdout_link(tmp_path, command):
+    Returns the file's text and the process's stderr.
+    """
     # /dev/fd/1 is a link to stdout like /dev/stdout; a temp file next to it
     # would land under /proc, so a regression fails here without side effects.
-    # Appending (as the shell's >>) keeps the status line after the output.
+    # Mode "a" redirects as the shell's >>, mode "w" as >.
     out = tmp_path / "out.csv"
     env = dict(os.environ, PYTHONPATH=str(Path(smoothgp.__file__).parent.parent))
-    with open(out, "a") as handle:
-        subprocess.run([sys.executable, "-m", "smoothgp.cli", *command,
-                        "--out", "/dev/fd/1"], stdout=handle, check=True, env=env)
+    with open(out, mode) as handle:
+        result = subprocess.run(
+            [sys.executable, "-m", "smoothgp.cli", *command, "--out", "/dev/fd/1"],
+            stdout=handle, stderr=subprocess.PIPE, text=True, check=True, env=env)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "reference.csv"]
-    return out.read_text()
+    return out.read_text(), result.stderr
 
 
 def test_catalog_to_stdout_link_reaches_redirected_file(tmp_path):
-    reference = tmp_path / "reference.csv"
-    text = harness.dump_catalog(reference)
+    text = harness.dump_catalog(tmp_path / "reference.csv")
     assert _run_cli_to_stdout_link(tmp_path, ["catalog"]) == (
-        text + "catalog written to /dev/fd/1\n")
+        text, "catalog written to /dev/fd/1\n")
+
+
+def test_catalog_to_truncated_stdout_keeps_its_header(tmp_path):
+    # the status line goes to stderr, so it cannot overwrite the data that
+    # the reopened stdout link wrote from offset 0
+    text = harness.dump_catalog(tmp_path / "reference.csv")
+    written, _ = _run_cli_to_stdout_link(tmp_path, ["catalog"], mode="w")
+    assert written == text
 
 
 def test_surface_to_stdout_link_reaches_redirected_file(tmp_path):
@@ -95,4 +108,28 @@ def test_surface_to_stdout_link_reaches_redirected_file(tmp_path):
     command = ["surface", "--function", "rastrigin", "--resolution", "3",
                "--program", "x0 x1 *"]
     assert _run_cli_to_stdout_link(tmp_path, command) == (
-        reference.read_text() + "surface grid written to /dev/fd/1\n")
+        reference.read_text(), "surface grid written to /dev/fd/1\n")
+
+
+def test_tracer_targets_exist():
+    # smoothbench/traced.py wraps these names by attribute; a rename must
+    # fail here rather than leave a traced benchmark run broken
+    bench = Path(__file__).resolve().parent.parent / "smoothbench"
+    sys.path.insert(0, str(bench))
+    try:
+        spec = importlib.util.spec_from_file_location("traced_probe",
+                                                      bench / "traced.py")
+        traced = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(traced)
+    finally:
+        sys.path.remove(str(bench))
+
+    wrapped = []
+
+    class StubTracer:
+        def wrap(self, owner, attr, name, describe=None):
+            assert hasattr(owner, attr), f"{owner.__name__}.{attr} ({name}) is gone"
+            wrapped.append(name)
+
+    traced.install(StubTracer())
+    assert "fstpso.step" in wrapped and "fstpso.init_swarm" in wrapped

@@ -1,5 +1,7 @@
 """Swarm optimizer tests: fuzzy inference, stepping invariants, convergence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,60 @@ def reference_fuzzy_update(phi, delta):
             for k, table in enumerate(TABLES):
                 num[k] += w * table[i][j]
     return tuple(v / den for v in num)
+
+
+def reference_step(state, objective, bounds, rng):
+    """One swarm iteration as a plain sequence of array expressions, the
+    oracle for the fused loop in ``fstpso``."""
+    rng = np.random.default_rng(rng)
+    lo, hi, span, diagonal = fstpso._box(bounds)
+    size, dim = state.positions.shape
+
+    phi = (state.values - state.prev_values) / (np.abs(state.prev_values) + 1.0)
+    phi = np.minimum(np.maximum(phi, -1.0), 1.0)
+    phi = np.where(np.isnan(phi), 0.0, phi)
+    if diagonal > 0.0:
+        offset = state.positions - state.global_best_position
+        dist = np.sqrt(np.add.reduce(offset * offset, axis=1))
+        delta = np.minimum(dist / diagonal, 1.0)
+    else:
+        delta = np.zeros(size)
+
+    settings = fuzzy_settings(phi, delta)
+    inertia, cognitive, social = settings[:, 0], settings[:, 1], settings[:, 2]
+    vmax = settings[:, 3, None] * span
+    vmin = settings[:, 4, None] * fstpso.VMIN_BASE_FRACTION * span
+
+    # one draw of both factors keeps the stream of two consecutive draws
+    r_cog, r_soc = rng.random((2, size, dim))
+    velocity = (inertia[:, None] * state.velocities
+                + cognitive[:, None] * r_cog * (state.best_positions - state.positions)
+                + social[:, None] * r_soc * (state.global_best_position - state.positions))
+    # Magnitude clamp preserves sign; exact zeros stay zero.
+    velocity = np.sign(velocity) * np.minimum(np.maximum(np.abs(velocity), vmin), vmax)
+
+    moved = state.positions + velocity
+    clamped = np.minimum(np.maximum(moved, lo), hi)
+    velocity = np.where(moved != clamped, 0.0, velocity)
+
+    values = np.asarray(objective(clamped), dtype=float)
+
+    state.prev_values = state.values
+    state.positions = clamped
+    state.velocities = velocity
+    state.values = values
+    improved = values < state.best_values
+    state.best_positions = np.where(improved[:, None], clamped, state.best_positions)
+    state.best_values = np.where(improved, values, state.best_values)
+    gi = int(state.best_values.argmin())
+    if state.best_values[gi] < state.global_best_value:
+        state.global_best_value = float(state.best_values[gi])
+        state.global_best_position = state.best_positions[gi].copy()
+    state.inertia, state.cognitive, state.social = inertia, cognitive, social
+    state.vmax, state.vmin = vmax, vmin
+    state.iteration += 1
+    state.evaluations_used += size
+    return state
 
 
 def settings_at(phi, delta):
@@ -243,3 +299,95 @@ class TestOptimize:
             optimize(sphere, SPHERE_BOUNDS, 4000, seed)[1] <= 1e-4
             for seed in range(20))
         assert hits >= 19
+
+
+STATE_FIELDS = ("positions", "velocities", "values", "prev_values",
+                "best_positions", "best_values", "global_best_position",
+                "global_best_value", "inertia", "cognitive", "social", "vmax",
+                "vmin", "iteration", "evaluations_used")
+
+
+def oracle_case(seed):
+    """A random (objective, bounds, budget, seed) over the edge cases: a
+    random program at D = 1..4, NaN on half the box, values near 1e308 so
+    that phi overflows, a constant, and a box with lo == hi."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 5))
+    program = stackgp.random_program(dim, int(rng.integers(2, 12)),
+                                     (-5.0, 5.0), rng)
+    lo = rng.uniform(-600.0, 0.0, dim)
+    hi = lo + rng.uniform(0.0, 900.0, dim)
+    kind = seed % 5
+    if kind == 4:
+        hi = lo.copy() if seed % 10 == 4 else np.where(np.arange(dim) == 0, lo, hi)
+    mid = (lo[0] + hi[0]) / 2
+
+    def objective(points):
+        values = stackgp.interpret_batch(program, points)
+        if kind == 1:
+            return np.where(points[:, 0] > mid, np.nan, values)
+        if kind == 2:
+            return values * 1e305 + 1e307 * np.sign(points[:, 0] - mid)
+        if kind == 3:
+            return np.full(len(points), 3.5)
+        return values
+
+    size = swarm_size(dim)
+    budget = int(rng.integers(size, 40 * size))
+    return objective, np.column_stack([lo, hi]), budget, int(rng.integers(2**31))
+
+
+def assert_same_state(a, b):
+    for field in STATE_FIELDS:
+        x, y = np.asarray(getattr(a, field)), np.asarray(getattr(b, field))
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), field
+
+
+class TestLoopMatchesReferenceStep:
+    @pytest.mark.parametrize("case", range(30))
+    def test_optimize(self, case):
+        objective, bounds, budget, seed = oracle_case(case)
+        rng = np.random.default_rng(seed)
+        with np.errstate(all="ignore"):
+            state = init_swarm(objective, bounds, rng)
+            size = len(state.positions)
+            while state.evaluations_used + size <= budget:
+                reference_step(state, objective, bounds, rng)
+            argmin, value = optimize(objective, bounds, budget, seed)
+        assert argmin.tobytes() == state.global_best_position.tobytes()
+        assert np.float64(value).tobytes() == np.float64(
+            state.global_best_value).tobytes()
+
+    @pytest.mark.parametrize("case", range(30, 45))
+    def test_step(self, case):
+        objective, bounds, _, seed = oracle_case(case)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        with np.errstate(all="ignore"):
+            state = init_swarm(objective, bounds, ours)
+            expected = init_swarm(objective, bounds, theirs)
+            for _ in range(8):
+                step(state, objective, bounds, ours)
+                reference_step(expected, objective, bounds, theirs)
+                assert_same_state(state, expected)
+
+    def test_step_leaves_earlier_arrays_alone(self):
+        rng = np.random.default_rng(6)
+        state = init_swarm(sphere, SPHERE_BOUNDS, rng)
+        arrays = {f: getattr(state, f) for f in STATE_FIELDS
+                  if isinstance(getattr(state, f), np.ndarray)}
+        held = {f: array.copy() for f, array in arrays.items()}
+        step(state, sphere, SPHERE_BOUNDS, rng)
+        for field, array in arrays.items():
+            assert np.array_equal(array, held[field], equal_nan=True), field
+
+
+def test_scratch_memory_does_not_grow_with_the_budget():
+    # a first call loads numpy internals lazily; keep that out of the peak
+    optimize(sphere, SPHERE_BOUNDS, 120, 0)
+    tracemalloc.start()
+    try:
+        optimize(sphere, SPHERE_BOUNDS, 120_000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
