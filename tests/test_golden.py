@@ -1,4 +1,4 @@
-"""Behaviour pin: exact outputs of small runs and of one grid export.
+"""Behaviour pin: exact outputs of small runs, swarm states and a grid export.
 
 The values were recorded from the code and must stay bit for bit the same
 under refactors and optimizations. A change that alters them on purpose
@@ -7,9 +7,10 @@ re-records them and says why.
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from smoothgp import benchmarks, stackgp
+from smoothgp import benchmarks, fstpso, stackgp
 from smoothgp.harness import export_surface_grid
 from smoothgp.surrogate import EvolutionConfig, evolve
 
@@ -54,6 +55,48 @@ GOLDEN_RUNS = {
 GRID_PROGRAM = ("SWAP + x0 x1 x1 - / 1e300 DUP * x1 SWAP - x0 x1 / * "
                 "0.5 x0 DUP * + 2.0 3.0 * +")
 GRID_SHA256 = "a86cfd2fedcdaa1bd7d524971223c7c38889526c420c9a9f0f97ebb393291b26"
+
+
+# name -> (program, bounds, seed, NaN where x0 > 0, SHA-256 of every
+# SwarmState field's bytes after init_swarm and after each of 8 steps). A
+# one-ULP change anywhere in the swarm state changes the digest.
+SWARM_STATES = {
+    "rastrigin-box": (
+        "x0 x0 * x1 3.5 * - x1 DUP * +", ((-5.12, 5.12), (-5.12, 5.12)), 0,
+        False, "ac2dd79f61b02db41c7d8598f862c5c8c0dc6fd2f05f1df48b22da8c8b16662b"),
+    "nan-half": (
+        "x0 x1 * x2 / 1.5 x0 - DUP * +",
+        ((-600.0, 600.0), (-30.0, 10.0), (0.0, 3.14)), 1,
+        True, "0620e409a89bdcfe59ae33ef04464709e30ca6bb35c8696b58127dd964399976"),
+    "schwefel-box": (
+        "x0 SWAP 418.9829 x1 * - x0 DUP * 0.001 * +",
+        ((-500.0, 500.0), (-500.0, 500.0)), 2,
+        False, "7152b040180ba32d71679f9f5053379f33e9f6bf6e97b4dcef2e3be1c57bcc56"),
+}
+STATE_FIELDS = ("positions", "velocities", "values", "prev_values",
+                "best_positions", "best_values", "global_best_position",
+                "global_best_value", "inertia", "cognitive", "social", "vmax",
+                "vmin", "iteration", "evaluations_used")
+
+
+@pytest.mark.parametrize("case", sorted(SWARM_STATES))
+def test_swarm_states_are_pinned(case):
+    text, bounds, seed, nan, expected = SWARM_STATES[case]
+    program = stackgp.parse(text, len(bounds))
+
+    def objective(points):
+        values = stackgp.interpret_batch(program, points)
+        return np.where(points[:, 0] > 0.0, np.nan, values) if nan else values
+
+    rng = np.random.default_rng(seed)
+    digest = hashlib.sha256()
+    state = fstpso.init_swarm(objective, bounds, rng)
+    for steps in range(9):
+        if steps:
+            fstpso.step(state, objective, bounds, rng)
+        for field in STATE_FIELDS:
+            digest.update(np.asarray(getattr(state, field)).tobytes())
+    assert digest.hexdigest() == expected
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_RUNS), ids=str)
