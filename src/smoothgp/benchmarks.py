@@ -105,7 +105,7 @@ class BenchmarkFunction:
     @property
     def bounds(self) -> np.ndarray:
         """Per-dimension (lo, hi) pairs, shape (dimension, 2)."""
-        return np.tile([self.lower, self.upper], (self.dimension, 1))
+        return np.array(((self.lower, self.upper),) * self.dimension)
 
     def evaluate_batch(self, points) -> np.ndarray:
         """Evaluate each row of ``points``; rows must lie inside the box."""
@@ -113,7 +113,8 @@ class BenchmarkFunction:
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
             raise ValueError(
                 f"points must have shape (n, {self.dimension}), got {pts.shape}")
-        if np.any(pts < self.lower) or np.any(pts > self.upper):
+        # written so that a NaN coordinate counts as outside
+        if not ((pts >= self.lower).all() and (pts <= self.upper).all()):
             raise ValueError(f"point outside [{self.lower}, {self.upper}]^D box")
         return self.evaluator(pts)
 

@@ -77,6 +77,11 @@ _TABLES = np.array([_INERTIA, _COGNITIVE, _SOCIAL, _VMAX_SCALE, _VMIN_SCALE])
 
 VMIN_BASE_FRACTION = 0.01
 
+# 0-d operands: a ufunc takes a 0-d array faster than a Python float
+_ZERO, _ONE, _TWO, _MINUS_ONE = (np.array(v) for v in (0.0, 1.0, 2.0, -1.0))
+# vmax and vmin scales times these give the fractions of the edge lengths
+_LIMIT_FRACTIONS = np.array([1.0, VMIN_BASE_FRACTION])
+
 
 def swarm_size(dimension: int) -> int:
     """Population heuristic floor(10 + 2*sqrt(D)); no user tuning."""
@@ -103,17 +108,20 @@ def _rule_base(size: int):
     total = np.empty(size)
     total_column = total[:, None]
     settings = np.empty((size, 5))
+    negative, maximum, absolute, subtract = np.negative, np.maximum, np.abs, np.subtract
+    multiply, divide, add_reduce, einsum = np.multiply, np.divide, np.add.reduce, np.einsum
+    zero, one = _ZERO, _ONE
 
     def infer() -> None:
-        np.negative(signals, out=near)
-        np.maximum(0.0, near, out=near)
-        np.abs(signals, out=mid)
-        np.subtract(1.0, mid, out=mid)
-        np.maximum(0.0, signals, out=far)
-        np.multiply(phi_mu, delta_mu, out=weights)
-        np.add.reduce(weights, axis=(1, 2), out=total)
-        np.einsum("pij,kij->pk", weights, _TABLES, out=settings)
-        np.divide(settings, total_column, out=settings)
+        negative(signals, near)
+        maximum(zero, near, out=near)
+        absolute(signals, mid)
+        subtract(one, mid, mid)
+        maximum(zero, signals, out=far)
+        multiply(phi_mu, delta_mu, weights)
+        add_reduce(weights, (1, 2), None, total)
+        einsum("pij,kij->pk", weights, _TABLES, out=settings)
+        divide(settings, total_column, settings)
 
     return signals, settings, infer
 
@@ -134,6 +142,10 @@ def fuzzy_settings(phi: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 # settings of a fresh swarm: no performance change, mid distance
 _NEUTRAL = tuple(fuzzy_settings(np.array([0.0]), np.array([0.5]))[0].tolist())
+# inertia, cognitive and social factors of a fresh swarm as a (3, 1) column,
+# and its vmax and vmin fractions of the edge lengths as (2, 1, 1)
+_NEUTRAL_FACTORS = np.array(_NEUTRAL[:3])[:, None]
+_NEUTRAL_LIMITS = np.array([_NEUTRAL[3], _NEUTRAL[4] * VMIN_BASE_FRACTION])[:, None, None]
 
 
 @dataclass
@@ -167,11 +179,14 @@ def _box(bounds) -> _Box:
     box = np.asarray(bounds, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] < 1:
         raise ValueError("bounds must be a (D, 2) array of (lo, hi) pairs")
+    if not np.isfinite(box).all():
+        raise ValueError("bounds must be finite")
     lo, hi = box[:, 0], box[:, 1]
-    if np.any(lo > hi):
+    if (lo > hi).any():
         raise ValueError("bounds must satisfy lo <= hi per dimension")
     span = hi - lo
-    return _Box(lo, hi, span, float(np.linalg.norm(span)))
+    # the Euclidean norm exactly as np.linalg.norm computes it
+    return _Box(lo, hi, span, math.sqrt(span.dot(span)))
 
 
 def init_swarm(objective, bounds, rng) -> SwarmState:
@@ -180,10 +195,13 @@ def init_swarm(objective, bounds, rng) -> SwarmState:
     lo, _, span, _ = _box(bounds)
     dim = lo.shape[0]
     size = swarm_size(dim)
-    inertia, cognitive, social, vmax_scale, vmin_scale = _NEUTRAL
     positions = lo + rng.random((size, dim)) * span
     values = np.asarray(objective(positions), dtype=float)
-    gi = int(np.argmin(values))
+    gi = int(values.argmin())
+    factors = np.empty((3, size))
+    factors[...] = _NEUTRAL_FACTORS
+    limits = np.empty((2, size, dim))
+    np.multiply(_NEUTRAL_LIMITS, span, limits)
     return SwarmState(
         positions=positions,
         velocities=np.zeros((size, dim)),
@@ -193,11 +211,11 @@ def init_swarm(objective, bounds, rng) -> SwarmState:
         best_values=values.copy(),
         global_best_position=positions[gi].copy(),
         global_best_value=float(values[gi]),
-        inertia=np.full(size, inertia),
-        cognitive=np.full(size, cognitive),
-        social=np.full(size, social),
-        vmax=np.tile(vmax_scale * span, (size, 1)),
-        vmin=np.tile(vmin_scale * VMIN_BASE_FRACTION * span, (size, 1)),
+        inertia=factors[0],
+        cognitive=factors[1],
+        social=factors[2],
+        vmax=limits[0],
+        vmin=limits[1],
         evaluations_used=size,
     )
 
@@ -224,10 +242,10 @@ def _advance(state: SwarmState, objective, box: _Box, rng, iterations: int) -> N
 
     signals, settings, infer = _rule_base(size)
     phi, unit_delta = signals  # unit_delta holds 2 * delta - 1
-    vmax_scale, vmin_scale = settings[:, 3, None], settings[:, 4, None]
-    vmax = np.empty((size, dim))
-    vmin = np.empty((size, dim))
-    vmin_fraction = np.empty((size, 1))
+    limit_scales = np.empty((size, 2))
+    limits = np.empty((2, size, dim))
+    vmax, vmin = limits
+    scale_columns = limit_scales.T[:, :, None]
     # velocity = (inertia * v + cognitive * r_cog * (pbest - x))
     #            + social * r_soc * (gbest - x), as one (3, P, D) product
     coefficients = settings[:, :3].T[:, :, None]
@@ -243,58 +261,67 @@ def _advance(state: SwarmState, objective, box: _Box, rng, iterations: int) -> N
     walled = np.empty((size, dim), dtype=bool)
     improved = np.empty(size, dtype=bool)
     improved_rows = improved[:, None]
+    box_diagonal = np.array(diagonal)
+    limit_settings = settings[:, 3:]
+    zero, one, two, minus_one = _ZERO, _ONE, _TWO, _MINUS_ONE
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    maximum, minimum, absolute, sign = np.maximum, np.minimum, np.abs, np.sign
+    sqrt, less, not_equal, copyto = np.sqrt, np.less, np.not_equal, np.copyto
+    add_reduce, asarray, random = np.add.reduce, np.asarray, rng.random
 
+    # maximum and minimum take out= as a keyword: numpy deprecates it
+    # positionally for them
     for _ in range(iterations):
-        np.subtract(values, prev_values, out=phi)
-        np.abs(prev_values, out=unit_delta)
-        unit_delta += 1.0
-        phi /= unit_delta
-        np.maximum(phi, -1.0, out=phi)
-        np.minimum(phi, 1.0, out=phi)
+        subtract(values, prev_values, phi)
+        absolute(prev_values, unit_delta)
+        add(unit_delta, one, unit_delta)
+        divide(phi, unit_delta, phi)
+        maximum(phi, minus_one, out=phi)
+        minimum(phi, one, out=phi)
         # after the clamp phi is finite unless it holds a NaN
         if math.isnan(phi.dot(phi)):
             phi[np.isnan(phi)] = 0.0
+        # (x - gbest)^2 == (gbest - x)^2 exactly, so one difference serves
+        # the distance and the social term
+        subtract(global_best_position, positions, to_global_best)
         if diagonal > 0.0:
-            np.subtract(positions, global_best_position, out=offset)
-            offset *= offset
-            np.add.reduce(offset, axis=1, out=unit_delta)
-            np.sqrt(unit_delta, out=unit_delta)
-            unit_delta /= diagonal
-            np.minimum(unit_delta, 1.0, out=unit_delta)
-            unit_delta *= 2.0
-            unit_delta -= 1.0
+            multiply(to_global_best, to_global_best, offset)
+            add_reduce(offset, 1, None, unit_delta)
+            sqrt(unit_delta, unit_delta)
+            divide(unit_delta, box_diagonal, unit_delta)
+            minimum(unit_delta, one, out=unit_delta)
+            multiply(unit_delta, two, unit_delta)
+            subtract(unit_delta, one, unit_delta)
         else:
             unit_delta.fill(-1.0)
         infer()
-        np.multiply(vmax_scale, span, out=vmax)
-        np.multiply(vmin_scale, VMIN_BASE_FRACTION, out=vmin_fraction)
-        np.multiply(vmin_fraction, span, out=vmin)
+        multiply(limit_settings, _LIMIT_FRACTIONS, limit_scales)
+        multiply(scale_columns, span, limits)
 
         # one draw of both factors keeps the stream of two consecutive draws
-        rng.random(out=random_draws)
-        np.multiply(coefficients, draws, out=factors)
-        np.subtract(best_positions, positions, out=to_best)
-        np.subtract(global_best_position, positions, out=to_global_best)
-        factors *= terms
-        np.add.reduce(factors, axis=0, out=velocity)
+        random(out=random_draws)
+        multiply(coefficients, draws, factors)
+        subtract(best_positions, positions, to_best)
+        multiply(factors, terms, factors)
+        add_reduce(factors, 0, None, velocity)
         # Magnitude clamp preserves sign; exact zeros stay zero.
-        np.abs(velocity, out=speed)
-        np.maximum(speed, vmin, out=speed)
-        np.minimum(speed, vmax, out=speed)
-        np.sign(velocity, out=velocity)
-        velocity *= speed
+        absolute(velocity, speed)
+        maximum(speed, vmin, out=speed)
+        minimum(speed, vmax, out=speed)
+        sign(velocity, velocity)
+        multiply(velocity, speed, velocity)
 
-        np.add(positions, velocity, out=moved)
-        positions = np.maximum(moved, lo)
-        np.minimum(positions, hi, out=positions)
-        np.not_equal(moved, positions, out=walled)
-        np.copyto(velocity, 0.0, where=walled)
+        add(positions, velocity, moved)
+        positions = maximum(moved, lo)
+        minimum(positions, hi, out=positions)
+        not_equal(moved, positions, walled)
+        copyto(velocity, zero, where=walled)
 
         prev_values = values
-        values = np.asarray(objective(positions), dtype=float)
-        np.less(values, best_values, out=improved)
-        np.copyto(best_positions, positions, where=improved_rows)
-        np.copyto(best_values, values, where=improved)
+        values = asarray(objective(positions), dtype=float)
+        less(values, best_values, improved)
+        copyto(best_positions, positions, where=improved_rows)
+        copyto(best_values, values, where=improved)
         gi = int(best_values.argmin())
         if best_values[gi] < global_best_value:
             global_best_value = float(best_values[gi])

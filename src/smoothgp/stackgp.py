@@ -203,10 +203,47 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values if mask.all() else np.where(mask, values, 0.0)
 
 
+def _run(plan: tuple, columns, checked: bool) -> np.ndarray:
+    """One pass of a compiled plan over the input ``columns``.
+
+    A checked pass replaces non-finite values by 0.0 after every operation
+    and partial sum; an unchecked one leaves them alone.
+    """
+    registers, steps, terms = plan
+    regs = list(registers)
+    regs[:len(columns)] = columns
+    for ufunc, a, b, out in steps:
+        left, right = regs[a], regs[b]
+        if ufunc is None:
+            guard = np.abs(right) < DIV_GUARD
+            value = np.where(guard, 1.0, left / np.where(guard, 1.0, right))
+        else:
+            value = ufunc(left, right)
+        regs[out] = _finite(value) if checked else value
+    # accumulate bottom-to-top so results are bit-reproducible
+    total = regs[terms[0]]
+    for r in terms[1:]:
+        total = total + regs[r]
+        if checked:
+            total = _finite(total)
+    if len(terms) == 1 and terms[0] < len(columns):
+        total = total.copy()  # an input column
+        if checked:
+            total = _finite(total)
+    return total
+
+
 def interpret_batch(program: Program, points) -> np.ndarray:
     """Evaluate ``program`` at each row of ``points`` (shape (n, dimension)).
 
     Always returns finite values; see module docstring for the semantics.
+    When every input is finite, the compiled plan runs once with overflow,
+    invalid and divide-by-zero operations raising and no per-operation
+    finiteness check: from finite inputs and constants, a non-finite
+    intermediate always raises one of those flags. A raised flag, or a
+    non-finite input, sends the points through the checked pass instead,
+    which replaces non-finite values by 0.0 after every operation. Both give
+    the same bits wherever the unchecked pass completes.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != program.dimension:
@@ -214,24 +251,18 @@ def interpret_batch(program: Program, points) -> np.ndarray:
             f"points must have shape (n, {program.dimension}), got {pts.shape}")
     if program._plan is None:
         object.__setattr__(program, "_plan", _compile(program))
-    registers, steps, terms = program._plan
-    regs = list(registers)
-    regs[:program.dimension] = pts.T
-    with np.errstate(all="ignore"):
-        for ufunc, a, b, out in steps:
-            left, right = regs[a], regs[b]
-            if ufunc is None:
-                guard = np.abs(right) < DIV_GUARD
-                value = np.where(guard, 1.0, left / np.where(guard, 1.0, right))
-            else:
-                value = ufunc(left, right)
-            regs[out] = _finite(value)
-        # accumulate bottom-to-top so results are bit-reproducible
-        total = regs[terms[0]]
-        for r in terms[1:]:
-            total = _finite(total + regs[r])
-        if len(terms) == 1 and terms[0] < program.dimension:
-            total = _finite(total.copy())  # an input column
+    columns, flat = pts.T, pts.ravel()
+    total = None
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            # a finite self dot product proves every input finite
+            if math.isfinite(flat.dot(flat)):
+                total = _run(program._plan, columns, False)
+    except FloatingPointError:
+        pass
+    if total is None:
+        with np.errstate(all="ignore"):
+            total = _run(program._plan, columns, True)
     return np.full(pts.shape[0], total) if total.ndim == 0 else total
 
 

@@ -22,7 +22,7 @@ index.
 
 from __future__ import annotations
 
-import hashlib
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -31,6 +31,11 @@ import numpy as np
 from . import fstpso, stackgp
 from .benchmarks import BenchmarkFunction
 from .stackgp import Program
+
+try:  # CPython's builtin module; hashlib would also load OpenSSL
+    from _blake2 import blake2b
+except ImportError:  # pragma: no cover
+    from hashlib import blake2b
 
 GP_CONST_SCALE = 10.0
 RMSE_SAMPLES_PER_DIMENSION = 100
@@ -116,10 +121,11 @@ def fitness(program: Program, fn: BenchmarkFunction,
     f_at = fn.evaluate(argmin)
     with np.errstate(over="ignore"):
         residual = values - stackgp.interpret_batch(program, points)
-        rmse = float(np.sqrt(np.mean(residual * residual)))
+        # the root of the mean exactly as np.sqrt(np.mean(...)) computes it
+        rmse = math.sqrt(np.add.reduce(residual * residual) / len(residual))
     return ScoredIndividual(
         program=program,
-        argmin=tuple(float(v) for v in argmin),
+        argmin=tuple(argmin.tolist()),
         fitness=f_at + rmse,
         f_at_argmin=f_at,
         pso_min_value=pso_min,
@@ -191,7 +197,7 @@ def program_stream(run_seed: int, program: Program) -> np.random.Generator:
     within a run, so selection acts on heritable structure rather than on
     per-evaluation luck, and scoring order cannot perturb a run.
     """
-    digest = hashlib.blake2b(
+    digest = blake2b(
         f"{run_seed}|{program.dimension}|{stackgp.render(program)}".encode(),
         digest_size=8).digest()
     return np.random.default_rng(int.from_bytes(digest, "little"))

@@ -69,6 +69,15 @@ def test_cli_import_does_not_load_the_process_pool():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_import_does_not_load_openssl():
+    # the swarm seeds hash with CPython's builtin blake2b, not hashlib's
+    probe = "import sys, smoothgp.cli; print('_hashlib' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(smoothgp.__file__).parent.parent))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, check=True, env=env)
+    assert result.stdout.strip() == "False"
+
+
 def _run_cli_to_stdout_link(tmp_path, command, mode="a"):
     """Run the CLI with ``--out /dev/fd/1`` and stdout opened on a file.
 

@@ -1,5 +1,7 @@
 """Catalog correctness: closed forms against published optima and invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,13 @@ class TestEvaluate:
             fn.evaluate([0.1, 1.0])
         with pytest.raises(ValueError):
             benchmarks.get("rastrigin", 2).evaluate([6.0, 0.0])
+
+    def test_nan_coordinate_rejected(self):
+        fn = benchmarks.get("rastrigin", 2)
+        with pytest.raises(ValueError):
+            fn.evaluate([math.nan, 0.0])
+        with pytest.raises(ValueError):
+            fn.evaluate_batch(np.array([[0.0, 0.0], [1.0, math.nan]]))
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(11)

@@ -283,6 +283,12 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize(sphere, SPHERE_BOUNDS, swarm_size(2) - 1, 0)
 
+    @pytest.mark.parametrize("bounds", [[[0.0, np.inf]], [[np.nan, 1.0]],
+                                        [[-np.inf, 0.0], [0.0, 1.0]]])
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="finite"):
+            optimize(sphere, bounds, 120, 0)
+
     def test_seed_determinism(self):
         a = optimize(sphere, SPHERE_BOUNDS, 2000, 42)
         b = optimize(sphere, SPHERE_BOUNDS, 2000, 42)

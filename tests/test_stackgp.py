@@ -118,6 +118,24 @@ class TestInterpreterProperties:
             expected, _ = reference_interpret(p, x)
             assert interpret(p, x) == expected
 
+    @pytest.mark.parametrize("text, points", [
+        ("x0 1e300 * DUP * x0 +", [[-0.5], [2.0]]),      # overflow raises
+        ("x0 1e-8 / 2.0 +", [[1e301], [3.0]]),            # in a quotient
+        ("x0 x0 * 1.0 SWAP / x0 +", [[math.inf], [2.0]]),  # an inf input
+        ("x0 2.0 * x0 -", [[math.nan], [-math.inf]]),
+    ])
+    def test_checked_fallback(self, text, points):
+        program = parse(text, 1)
+        pts = np.array(points)
+        observed = interpret_batch(program, pts)
+        with np.errstate(all="ignore"):
+            checked = stackgp._run(program._plan, pts.T, True)
+        assert observed.tobytes() == checked.tobytes()
+        assert observed.tolist() == [reference_interpret(program, x)[0] for x in pts]
+        if np.isfinite(pts).all():  # the unchecked pass gave up on a flag
+            with pytest.raises(FloatingPointError), np.errstate(all="raise"):
+                stackgp._run(program._plan, pts.T, False)
+
     def test_total_and_finite_on_fuzzed_programs(self):
         rng = np.random.default_rng(99)
         for _ in range(1000):
