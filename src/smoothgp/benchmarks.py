@@ -9,9 +9,9 @@ so Vincent rows carry ``verified=False`` and optimum-consistency checks
 skip them. Michalewicz has reference values for dimension 2 only.
 
 Evaluators are pure and vectorized; both ``evaluate`` and ``evaluate_batch``
-reject points outside the box, since domain-restricted functions (Vincent's
-logarithm) are undefined there. All types are immutable after construction
-and safe to share across threads.
+reject points outside the box, and a NaN coordinate as outside, since
+domain-restricted functions (Vincent's logarithm) are undefined there. All
+types are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations

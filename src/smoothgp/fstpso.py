@@ -18,17 +18,17 @@ table: a worsening particle far from the swarm best explores (high inertia,
 high social pull, full velocity cap), an improving particle near the best
 exploits (low inertia, high cognitive pull, tight velocity cap).
 
-Velocity limits derive from the box edge lengths: ``vmax = vmax_scale *
-(hi - lo)`` and ``vmin = vmin_scale * 0.01 * (hi - lo)`` per dimension.
-Positions are clamped to the box with the velocity zeroed on clamped
-dimensions (absorbing walls). ``optimize`` derives the box constants
-(bounds, edge lengths, diagonal) once per swarm and runs all iterations in
-one ``_advance`` loop, which reads the ``SwarmState`` into locals once,
-works in scratch arrays allocated once, and writes the state back once at
-the end; ``step`` is one iteration of that loop. A single ``optimize`` call
-is strictly sequential; independent calls with independent generators may
-run in parallel. The swarm size is ``floor(10 + 2 * sqrt(dimension))`` so
-no user-supplied setting is needed.
+The bounds and edge lengths must be finite. Velocity limits derive from the
+box edge lengths: ``vmax = vmax_scale * (hi - lo)`` and
+``vmin = vmin_scale * 0.01 * (hi - lo)`` per dimension. Positions are clamped to the box with
+the velocity zeroed on clamped dimensions (absorbing walls). ``optimize``
+derives the box constants (bounds, edge lengths, diagonal) once per swarm
+and runs all iterations in one ``_advance`` loop, which reads the
+``SwarmState`` into locals once, works in scratch arrays allocated once,
+and writes the state back once at the end; ``step`` is one iteration of
+that loop. A single ``optimize`` call is strictly sequential; independent
+calls with independent generators may run in parallel. The swarm size is
+``floor(10 + 2 * sqrt(dimension))`` so no user-supplied setting is needed.
 
 Objectives are batch objectives: each maps an (n, D) array of points to an
 (n,) array of values, and the swarm evaluates all its particles in one call
@@ -179,12 +179,13 @@ def _box(bounds) -> _Box:
     box = np.asarray(bounds, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] < 1:
         raise ValueError("bounds must be a (D, 2) array of (lo, hi) pairs")
-    if not np.isfinite(box).all():
-        raise ValueError("bounds must be finite")
     lo, hi = box[:, 0], box[:, 1]
     if (lo > hi).any():
         raise ValueError("bounds must satisfy lo <= hi per dimension")
     span = hi - lo
+    # a non-finite bound gives a non-finite edge length, like an overflow
+    if not np.isfinite(span).all():
+        raise ValueError("bounds and their edge lengths must be finite")
     # the Euclidean norm exactly as np.linalg.norm computes it
     return _Box(lo, hi, span, math.sqrt(span.dot(span)))
 
@@ -355,7 +356,8 @@ def optimize(objective, bounds, budget: int, rng) -> tuple[np.ndarray, float]:
         objective: batch objective mapping an (n, D) array of points to an
             (n,) array of values; called once per swarm pass with n equal
             to the swarm size.
-        bounds: (D, 2) array of per-dimension (lo, hi).
+        bounds: (D, 2) array of per-dimension (lo, hi), finite and with
+            finite edge lengths hi - lo.
         budget: maximum number of objective evaluations; must cover at
             least one full swarm pass.
         rng: seed or numpy Generator; identical seeds give identical runs.

@@ -28,8 +28,10 @@ the genetic operators draw all randomness from a caller-owned generator.
 keeps the result on the program. The static pass drops the instructions
 that would be skipped (the "structural introns" of linear GP), turns DUP
 and SWAP into register aliasing, and folds operations on constants alone
-and a leading run of constant terms of the final sum. The semantics above
-are unchanged, bit for bit.
+and a leading run of constant terms of the final sum. On finite inputs the
+plan runs without per-operation finiteness checks, with floating-point
+errors raising; a raised error reruns it with the checks. The semantics
+above are unchanged, bit for bit.
 """
 
 from __future__ import annotations

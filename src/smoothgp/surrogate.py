@@ -34,7 +34,7 @@ from .stackgp import Program
 
 try:  # CPython's builtin module; hashlib would also load OpenSSL
     from _blake2 import blake2b
-except ImportError:  # pragma: no cover
+except ImportError:  # an interpreter built without it
     from hashlib import blake2b
 
 GP_CONST_SCALE = 10.0

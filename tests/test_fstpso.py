@@ -284,9 +284,11 @@ class TestOptimize:
             optimize(sphere, SPHERE_BOUNDS, swarm_size(2) - 1, 0)
 
     @pytest.mark.parametrize("bounds", [[[0.0, np.inf]], [[np.nan, 1.0]],
-                                        [[-np.inf, 0.0], [0.0, 1.0]]])
+                                        [[-np.inf, 0.0], [0.0, 1.0]],
+                                        [[-1e308, 1e308]]])
     def test_non_finite_bounds_rejected(self, bounds):
-        with pytest.raises(ValueError, match="finite"):
+        # 1e308 - -1e308 overflows to an infinite edge length
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             optimize(sphere, bounds, 120, 0)
 
     def test_seed_determinism(self):
