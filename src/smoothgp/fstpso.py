@@ -18,17 +18,18 @@ table: a worsening particle far from the swarm best explores (high inertia,
 high social pull, full velocity cap), an improving particle near the best
 exploits (low inertia, high cognitive pull, tight velocity cap).
 
-The bounds and edge lengths must be finite. Velocity limits derive from the
-box edge lengths: ``vmax = vmax_scale * (hi - lo)`` and
-``vmin = vmin_scale * 0.01 * (hi - lo)`` per dimension. Positions are clamped to the box with
-the velocity zeroed on clamped dimensions (absorbing walls). ``optimize``
-derives the box constants (bounds, edge lengths, diagonal) once per swarm
-and runs all iterations in one ``_advance`` loop, which reads the
-``SwarmState`` into locals once, works in scratch arrays allocated once,
-and writes the state back once at the end; ``step`` is one iteration of
-that loop. A single ``optimize`` call is strictly sequential; independent
-calls with independent generators may run in parallel. The swarm size is
-``floor(10 + 2 * sqrt(dimension))`` so no user-supplied setting is needed.
+The bounds and their edge lengths must be finite. Velocity limits derive
+from the edge lengths: ``vmax = vmax_scale * (hi - lo)`` and
+``vmin = vmin_scale * 0.01 * (hi - lo)`` per dimension.
+Positions are clamped to the box with the velocity zeroed on clamped
+dimensions (absorbing walls). ``optimize`` derives the box constants
+(bounds, edge lengths, diagonal) once per swarm and runs all iterations in
+one ``_advance`` loop, which reads the ``SwarmState`` into locals once,
+works in scratch arrays allocated once, and writes the state back once at
+the end; ``step`` is one iteration of that loop. A single ``optimize`` call
+is strictly sequential; independent calls with independent generators may
+run in parallel. The swarm size is ``floor(10 + 2 * sqrt(dimension))`` so
+no user-supplied setting is needed.
 
 Objectives are batch objectives: each maps an (n, D) array of points to an
 (n,) array of values, and the swarm evaluates all its particles in one call
@@ -199,8 +200,8 @@ def init_swarm(objective, bounds, rng) -> SwarmState:
     positions = lo + rng.random((size, dim)) * span
     values = np.asarray(objective(positions), dtype=float)
     gi = int(values.argmin())
-    factors = np.empty((3, size))
-    factors[...] = _NEUTRAL_FACTORS
+    neutral = np.empty((3, size))
+    neutral[...] = _NEUTRAL_FACTORS
     limits = np.empty((2, size, dim))
     np.multiply(_NEUTRAL_LIMITS, span, limits)
     return SwarmState(
@@ -212,9 +213,9 @@ def init_swarm(objective, bounds, rng) -> SwarmState:
         best_values=values.copy(),
         global_best_position=positions[gi].copy(),
         global_best_value=float(values[gi]),
-        inertia=factors[0],
-        cognitive=factors[1],
-        social=factors[2],
+        inertia=neutral[0],
+        cognitive=neutral[1],
+        social=neutral[2],
         vmax=limits[0],
         vmin=limits[1],
         evaluations_used=size,
