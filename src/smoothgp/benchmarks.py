@@ -113,10 +113,7 @@ class BenchmarkFunction:
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
             raise ValueError(
                 f"points must have shape (n, {self.dimension}), got {pts.shape}")
-        # written so that a NaN coordinate counts as outside
-        if not ((pts >= self.lower).all() and (pts <= self.upper).all()):
-            raise ValueError(f"point outside [{self.lower}, {self.upper}]^D box")
-        return self.evaluator(pts)
+        return self._evaluate_inside(pts)
 
     def evaluate(self, x) -> float:
         """Closed-form value at a single in-bounds point."""
@@ -124,7 +121,13 @@ class BenchmarkFunction:
         if x.ndim != 1 or x.shape[0] != self.dimension:
             raise ValueError(
                 f"point must have length {self.dimension}, got shape {x.shape}")
-        return float(self.evaluate_batch(x[None, :])[0])
+        return float(self._evaluate_inside(x[None, :])[0])
+
+    def _evaluate_inside(self, pts: np.ndarray) -> np.ndarray:
+        # written so that a NaN coordinate counts as outside
+        if not ((pts >= self.lower).all() and (pts <= self.upper).all()):
+            raise ValueError(f"point outside [{self.lower}, {self.upper}]^D box")
+        return self.evaluator(pts)
 
     def sample_uniform(self, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
         """Draw ``n`` i.i.d. uniform points from the box, with their values.

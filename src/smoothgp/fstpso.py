@@ -23,13 +23,15 @@ from the edge lengths: ``vmax = vmax_scale * (hi - lo)`` and
 ``vmin = vmin_scale * 0.01 * (hi - lo)`` per dimension.
 Positions are clamped to the box with the velocity zeroed on clamped
 dimensions (absorbing walls). ``optimize`` derives the box constants
-(bounds, edge lengths, diagonal) once per swarm and runs all iterations in
-one ``_advance`` loop, which reads the ``SwarmState`` into locals once,
-works in scratch arrays allocated once, and writes the state back once at
-the end; ``step`` is one iteration of that loop. A single ``optimize`` call
-is strictly sequential; independent calls with independent generators may
-run in parallel. The swarm size is ``floor(10 + 2 * sqrt(dimension))`` so
-no user-supplied setting is needed.
+(bounds, edge lengths, diagonal) once per swarm, or takes a box derived
+once by its caller, and runs all iterations in one ``_advance`` loop. The
+loop reads the ``SwarmState`` into locals once, works in scratch arrays
+that a process allocates once per swarm shape and reuses across calls, and
+writes the state back once at the end; ``step`` is one iteration of that
+loop. A single ``optimize`` call is strictly sequential; independent calls
+with independent generators may run in parallel, in threads too, and an
+objective may itself call ``optimize``. The swarm size is
+``floor(10 + 2 * sqrt(dimension))`` so no user-supplied setting is needed.
 
 Objectives are batch objectives: each maps an (n, D) array of points to an
 (n,) array of values, and the swarm evaluates all its particles in one call
@@ -222,15 +224,45 @@ def init_swarm(objective, bounds, rng) -> SwarmState:
     )
 
 
+def _workspace(size: int, dim: int) -> tuple:
+    """Scratch arrays and views of one ``_advance`` call, in its unpack order.
+
+    Each iteration writes every buffer before reading it, except the row of
+    ones in ``draws`` that multiplies the inertia term, which nothing writes.
+    """
+    signals, settings, infer = _rule_base(size)
+    limit_scales = np.empty((size, 2))
+    limits = np.empty((2, size, dim))
+    # velocity = (inertia * v + cognitive * r_cog * (pbest - x))
+    #            + social * r_soc * (gbest - x), as one (3, P, D) product
+    draws = np.ones((3, size, dim))
+    terms = np.empty((3, size, dim))
+    improved = np.empty(size, dtype=bool)
+    return (*signals, settings, infer, settings[:, 3:], limit_scales,
+            limit_scales.T[:, :, None], limits, *limits,
+            settings[:, :3].T[:, :, None], draws, draws[1:],
+            np.empty((3, size, dim)), terms, *terms, np.empty((size, dim)),
+            np.empty((size, dim)), np.empty((size, dim)),
+            np.empty((size, dim), dtype=bool), improved, improved[:, None])
+
+
+# Free workspaces by (swarm size, dimension). A call takes one, or builds one
+# when none is free, and puts it back when it returns, so nested and
+# concurrent calls never share one; a call that raises drops its workspace.
+# A key's list grows only to the most calls of that key ever running at once.
+_FREE_WORKSPACES: dict[tuple[int, int], list] = {}
+
+
 def _advance(state: SwarmState, objective, box: _Box, rng, iterations: int) -> None:
     """Run ``iterations`` swarm iterations on ``state``.
 
-    The state is read into locals once and written back once at the end;
-    the scratch arrays and their views are made once per call. All particles
-    move against the global best from the iteration start; personal and
-    global bests are updated afterwards and never worsen. No array the state
-    held before the call is modified, and every objective call gets a fresh
-    array of points.
+    The state is read into locals once and written back once at the end.
+    The scratch arrays and their views come from a free list, so a process
+    makes them once per swarm shape, not once per call. All particles move
+    against the global best from the iteration start; personal and global
+    bests are updated afterwards and never worsen. No array the state held
+    before the call is modified, the state keeps no scratch array, and every
+    objective call gets a fresh array of points.
     """
     if iterations <= 0:
         return
@@ -242,29 +274,18 @@ def _advance(state: SwarmState, objective, box: _Box, rng, iterations: int) -> N
     global_best_position = state.global_best_position
     global_best_value = state.global_best_value
 
-    signals, settings, infer = _rule_base(size)
-    phi, unit_delta = signals  # unit_delta holds 2 * delta - 1
-    limit_scales = np.empty((size, 2))
-    limits = np.empty((2, size, dim))
-    vmax, vmin = limits
-    scale_columns = limit_scales.T[:, :, None]
-    # velocity = (inertia * v + cognitive * r_cog * (pbest - x))
-    #            + social * r_soc * (gbest - x), as one (3, P, D) product
-    coefficients = settings[:, :3].T[:, :, None]
-    draws = np.ones((3, size, dim))
-    random_draws = draws[1:]
-    factors = np.empty((3, size, dim))
-    terms = np.empty((3, size, dim))
-    velocity, to_best, to_global_best = terms
+    free = _FREE_WORKSPACES.setdefault((size, dim), [])
+    try:
+        workspace = free.pop()
+    except IndexError:
+        workspace = _workspace(size, dim)
+    # unit_delta holds 2 * delta - 1
+    (phi, unit_delta, settings, infer, limit_settings, limit_scales,
+     scale_columns, limits, vmax, vmin, coefficients, draws, random_draws,
+     factors, terms, velocity, to_best, to_global_best, offset, speed, moved,
+     walled, improved, improved_rows) = workspace
     velocity[...] = state.velocities
-    offset = np.empty((size, dim))
-    speed = np.empty((size, dim))
-    moved = np.empty((size, dim))
-    walled = np.empty((size, dim), dtype=bool)
-    improved = np.empty(size, dtype=bool)
-    improved_rows = improved[:, None]
     box_diagonal = np.array(diagonal)
-    limit_settings = settings[:, 3:]
     zero, one, two, minus_one = _ZERO, _ONE, _TWO, _MINUS_ONE
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     maximum, minimum, absolute, sign = np.maximum, np.minimum, np.abs, np.sign
@@ -329,15 +350,16 @@ def _advance(state: SwarmState, objective, box: _Box, rng, iterations: int) -> N
             global_best_value = float(best_values[gi])
             global_best_position = best_positions[gi].copy()
 
-    state.positions, state.velocities = positions, velocity
+    state.positions, state.velocities = positions, velocity.copy()
     state.values, state.prev_values = values, prev_values
     state.best_positions, state.best_values = best_positions, best_values
     state.global_best_position = global_best_position
     state.global_best_value = global_best_value
-    state.inertia, state.cognitive, state.social = settings[:, :3].T
-    state.vmax, state.vmin = vmax, vmin
+    state.inertia, state.cognitive, state.social = settings[:, :3].T.copy()
+    state.vmax, state.vmin = limits.copy()
     state.iteration += iterations
     state.evaluations_used += iterations * size
+    free.append(workspace)
 
 
 def step(state: SwarmState, objective, bounds, rng) -> SwarmState:

@@ -3,8 +3,11 @@
 A campaign executes `runs` independent evolutions per (function, dimension)
 pair with seeds ``base_seed + run_index`` and writes, per pair, a CSV of
 per-run results plus a text artifact with the winning programs, and one
-``summary.csv`` row per pair. Runs may execute concurrently; outputs are
-ordered by run index before writing, so bytes never depend on scheduling.
+``summary.csv`` row per pair. Runs may execute concurrently; a worker pool
+takes them longest first, by population times swarm size, so short runs
+fill the pool's tail. Outputs are ordered by run index before writing, so
+bytes never depend on scheduling, and after a failure the first failing
+run in campaign order is re-raised.
 Rerunning a partially completed campaign skips run rows that already exist
 on disk and preserves their bytes; a kept row written with another base
 seed, or for a run index the campaign does not have, is an error. Every
@@ -24,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import benchmarks, stackgp
+from . import benchmarks, fstpso, stackgp
 from .benchmarks import BenchmarkFunction
 from .stackgp import Program
 from .surrogate import EvolutionConfig, evolve
@@ -144,6 +147,20 @@ def _run_task(task) -> RunRow:
     )
 
 
+def _expected_cost(task) -> int:
+    """A run's relative cost, population times swarm size, for dispatch order.
+
+    Reads the population as ``config_for`` does but builds no config, and
+    takes the default for a value that is not an integer, so an invalid
+    config fails inside its own task rather than here.
+    """
+    _, dimension, _, _, overrides = task
+    population = overrides.get("population_size")
+    if not isinstance(population, int):
+        population = DEFAULT_POPULATION[dimension]
+    return population * fstpso.swarm_size(dimension)
+
+
 def _execute(tasks, workers: int, done: dict) -> None:
     # fills `done` in place so completed runs survive a failing sibling
     if workers <= 1 or len(tasks) <= 1:
@@ -153,12 +170,15 @@ def _execute(tasks, workers: int, done: dict) -> None:
     # imported here: a one-worker run or a bare CLI import never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_run_task, task): task for task in tasks}
-        for future in as_completed(futures):
+        # the longest runs first, so that no worker idles while one finishes
+        futures = {task[:3]: pool.submit(_run_task, task)
+                   for task in sorted(tasks, key=_expected_cost, reverse=True)}
+        keys = {future: key for key, future in futures.items()}
+        for future in as_completed(keys):
             if future.exception() is None:
-                done[futures[future][:3]] = future.result()
-    for future in futures:
-        future.result()  # re-raises the first failure in task order
+                done[keys[future]] = future.result()
+    for task in tasks:
+        futures[task[:3]].result()  # re-raises the first failure in task order
 
 
 def _format(value: float) -> str:

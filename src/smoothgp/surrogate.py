@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,6 +101,19 @@ class RunRecord:
                 raise ValueError("best-fitness trace must be non-increasing")
 
 
+@lru_cache(maxsize=64)
+def _search_box(fn: BenchmarkFunction):
+    """The swarm's box over ``fn.bounds``, derived once per distinct benchmark.
+
+    Invalid bounds raise on every call, since a raised error is not cached.
+    The box's arrays are read-only, as every scoring of ``fn`` shares them.
+    """
+    box = fstpso._box(fn.bounds)
+    for array in box.lo, box.hi, box.span:
+        array.flags.writeable = False
+    return box
+
+
 def fitness(program: Program, fn: BenchmarkFunction,
             sampled: tuple[np.ndarray, np.ndarray],
             pso_iterations: int, rng) -> ScoredIndividual:
@@ -117,7 +131,7 @@ def fitness(program: Program, fn: BenchmarkFunction,
     budget = pso_iterations * fstpso.swarm_size(fn.dimension)
     argmin, pso_min = fstpso.optimize(
         lambda pts: stackgp.interpret_batch(program, pts),
-        fn.bounds, budget, rng)
+        _search_box(fn), budget, rng)
     f_at = fn.evaluate(argmin)
     with np.errstate(over="ignore"):
         residual = values - stackgp.interpret_batch(program, points)

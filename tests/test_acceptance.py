@@ -22,6 +22,9 @@ CAMPAIGN_RUNS = 10
 CAMPAIGN_GENERATIONS = 30
 CAMPAIGN_SEED = 0
 
+# the campaign fixture takes minutes; `pytest -m "not slow"` leaves it out
+pytestmark = pytest.mark.slow
+
 
 def report(criterion, ok, detail):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")

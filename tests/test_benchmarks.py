@@ -65,13 +65,17 @@ class TestEvaluate:
 
     def test_dimension_mismatch_rejected(self):
         fn = benchmarks.get("ackley", 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^point must have length 2, got shape \(3,\)$"):
             fn.evaluate([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"^points must have shape \(n, 2\), got \(2,\)$"):
+            fn.evaluate_batch([1.0, 2.0])
 
     def test_out_of_bounds_rejected(self):
         fn = benchmarks.get("vincent", 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^point outside \[0\.25, 10\.0\]\^D box$"):
             fn.evaluate([0.1, 1.0])
+        with pytest.raises(ValueError, match=r"^point outside \[0\.25, 10\.0\]\^D box$"):
+            fn.evaluate_batch([[1.0, 1.0], [0.1, 1.0]])
         with pytest.raises(ValueError):
             benchmarks.get("rastrigin", 2).evaluate([6.0, 0.0])
 

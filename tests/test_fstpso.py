@@ -1,5 +1,7 @@
 """Swarm optimizer tests: fuzzy inference, stepping invariants, convergence."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -387,6 +389,80 @@ class TestLoopMatchesReferenceStep:
         step(state, sphere, SPHERE_BOUNDS, rng)
         for field, array in arrays.items():
             assert np.array_equal(array, held[field], equal_nan=True), field
+
+
+def result_bytes(result):
+    argmin, value = result
+    return argmin.tobytes() + np.float64(value).tobytes()
+
+
+class TestWorkspaceReuse:
+    """Swarms of one shape share a process's scratch arrays, never at once."""
+
+    def test_objective_calling_optimize_matches_plain_calls(self):
+        inner = []
+
+        def nesting(points):
+            # a swarm of the outer swarm's shape, run inside its iteration
+            inner.append(optimize(sphere, SPHERE_BOUNDS, 60, len(inner)))
+            return sphere(points)
+
+        nested = optimize(nesting, SPHERE_BOUNDS, 600, 9)
+        assert result_bytes(nested) == result_bytes(optimize(sphere, SPHERE_BOUNDS, 600, 9))
+        assert len(inner) == 50
+        for seed, result in enumerate(inner):
+            assert result_bytes(result) == result_bytes(
+                optimize(sphere, SPHERE_BOUNDS, 60, seed))
+
+    def test_concurrent_threads_match_serial_calls(self):
+        seeds = range(24)
+        expected = [result_bytes(optimize(sphere, SPHERE_BOUNDS, 240, s)) for s in seeds]
+        results = {}
+        barrier = threading.Barrier(4)
+
+        def worker(offset):
+            barrier.wait(timeout=10)
+            for seed in seeds[offset::4]:
+                results[seed] = result_bytes(optimize(sphere, SPHERE_BOUNDS, 240, seed))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [results.get(s) for s in seeds] == expected
+
+    def test_state_holds_no_scratch_array(self):
+        rng = np.random.default_rng(8)
+        first = init_swarm(sphere, SPHERE_BOUNDS, rng)
+        step(first, sphere, SPHERE_BOUNDS, rng)
+        arrays = {f: getattr(first, f) for f in STATE_FIELDS
+                  if isinstance(getattr(first, f), np.ndarray)}
+        held = {f: array.copy() for f, array in arrays.items()}
+
+        def later_swarm_matches_reference():
+            ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+            state = init_swarm(sphere, SPHERE_BOUNDS, ours)
+            expected = init_swarm(sphere, SPHERE_BOUNDS, theirs)
+            for _ in range(8):
+                step(state, sphere, SPHERE_BOUNDS, ours)
+                reference_step(expected, sphere, SPHERE_BOUNDS, theirs)
+                assert_same_state(state, expected)
+
+        # a later swarm of the same shape leaves the first swarm's arrays alone
+        later_swarm_matches_reference()
+        for field, array in arrays.items():
+            assert np.array_equal(array, held[field]), field
+        # and writing into them does not move a later swarm
+        for array in arrays.values():
+            array.fill(np.nan)
+        later_swarm_matches_reference()
 
 
 def test_scratch_memory_does_not_grow_with_the_budget():

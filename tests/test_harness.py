@@ -1,5 +1,6 @@
 """Campaign driver tests: CSV schemas, determinism, resumability, CLI."""
 
+import concurrent.futures
 import os
 import threading
 import tracemalloc
@@ -296,6 +297,49 @@ class TestRunCampaign:
         with pytest.raises(ValueError):
             harness._execute(tasks, 2, done)
         assert list(done) == [("rastrigin", 2, 1)]
+
+    def test_execute_reraises_the_first_failure_in_task_order(self):
+        # the pool takes the non-integer population (costed at the default
+        # 50) first and the population of 1 last; both fail in their tasks
+        tasks = [("rastrigin", 2, 0, 11, dict(TINY_OVERRIDES, population_size=1)),
+                 ("rastrigin", 2, 1, 12, dict(TINY_OVERRIDES)),
+                 ("rastrigin", 2, 2, 13, dict(TINY_OVERRIDES, population_size="50"))]
+        assert [harness._expected_cost(t) for t in tasks] == [12, 72, 600]
+        done = {}
+        with pytest.raises(ValueError, match="tournament_size must not exceed"):
+            harness._execute(tasks, 2, done)
+        assert list(done) == [("rastrigin", 2, 1)]
+
+    def test_pool_takes_the_longest_runs_first(self, monkeypatch):
+        submitted = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def submit(self, fn, task):
+                submitted.append(task[:3])
+                return super().submit(fn, task)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "_run_task", lambda task: task[:3])
+        # costs 600, 650, 1400, 2400 and 650: population times swarm size,
+        # with the default population where the override is None
+        tasks = [("alpine", d, 0, 0, {}) for d in (2, 3, 4)]
+        tasks.append(("alpine", 2, 1, 1, {"population_size": 200}))
+        tasks.append(("alpine", 3, 1, 1, {"population_size": None}))
+        done = {}
+        harness._execute(tasks, 2, done)
+        assert submitted == [("alpine", 2, 1), ("alpine", 4, 0), ("alpine", 3, 0),
+                             ("alpine", 3, 1), ("alpine", 2, 0)]
+        assert done == {task[:3]: task[:3] for task in tasks}
+
+    def test_mixed_dimensions_do_not_change_bytes_with_workers(self, tmp_path):
+        # with equal populations the pool takes D=4 first, then D=3, then D=2
+        outputs = []
+        for workers in (1, 2):
+            out = tmp_path / str(workers)
+            run_campaign(tiny_campaign(out, dimensions=(2, 3, 4), workers=workers))
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        serial, pool = outputs
+        assert len(serial) == 7 and pool == serial
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         out_serial = tmp_path / "serial"

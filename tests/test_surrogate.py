@@ -79,6 +79,16 @@ class TestFitness:
             fitness(stackgp.parse("x0", 1), fn, sampled, 10,
                     np.random.default_rng(0))
 
+    def test_invalid_bounds_raise_on_every_call(self, rastrigin_sample):
+        # the box of a valid benchmark is derived once; an error never is
+        fn, sampled = rastrigin_sample
+        unbounded = benchmarks.BenchmarkFunction(
+            name="unbounded", dimension=2, lower=-np.inf, upper=0.0,
+            evaluator=fn.evaluator)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="edge lengths must be finite"):
+                fitness(stackgp.parse("x0", 2), unbounded, sampled, 10, 0)
+
     def test_empty_sample_rejected(self, rastrigin_sample):
         fn, _ = rastrigin_sample
         empty = (np.zeros((0, 2)), np.zeros(0))
