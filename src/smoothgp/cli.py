@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import benchmarks, harness, stackgp
 from .harness import Campaign
-from .surrogate import default_const_range, evolve
+from .surrogate import evolve
 
 # Every setting of `run` and `surface`, in flag order, declared once:
 # (key, type, help, EvolutionConfig field or None, default per command).
@@ -111,8 +111,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         output_dir=settings["out"],
         workers=settings["workers"],
     )
-    result = harness.run_campaign(campaign)
-    for (name, dim), pair in result.pairs.items():
+    for (name, dim), pair in harness.run_campaign(campaign).items():
         print(f"{name} D={dim}: median f(argmin) = {pair.median_fitness:.6g} "
               f"over {len(pair.rows)} runs")
     print(f"results written to {settings['out']}")
@@ -123,7 +122,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     settings = _resolve(args)
     fn = benchmarks.get(settings["function"], 2)
     if settings["program"]:
-        program = stackgp.parse(settings["program"], 2, default_const_range(fn))
+        program = stackgp.parse(settings["program"], 2)
     else:
         config = harness.config_for(
             dimension=2, seed=settings["seed"], overrides=_overrides(settings))

@@ -81,11 +81,6 @@ class PairResult:
 
 
 @dataclass(frozen=True)
-class CampaignResult:
-    pairs: dict
-
-
-@dataclass(frozen=True)
 class Campaign:
     """A reproducible batch of evolutions over (function, dimension) pairs."""
 
@@ -109,7 +104,8 @@ class Campaign:
                 raise ValueError(f"unknown benchmark function {name!r}")
         for dim in self.dimensions:
             if dim not in benchmarks.CATALOG_DIMENSIONS:
-                raise ValueError(f"dimension {dim} outside supported {2, 3, 4}")
+                raise ValueError(f"dimension {dim} outside supported "
+                                 f"{benchmarks.CATALOG_DIMENSIONS}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.workers < 1:
@@ -284,20 +280,21 @@ def _write_pair_outputs(campaign: Campaign, existing_rows, existing_programs,
 
 
 def _check_run_in_range(path: Path, run: int, runs: int) -> None:
-    if run >= runs:
+    if not 0 <= run < runs:
         raise ValueError(f"{path}: run {run} is outside the campaign's {runs} "
                          f"runs; rewriting the file would drop it")
 
 
-def run_campaign(campaign: Campaign) -> CampaignResult:
-    """Execute a campaign, write its CSV outputs, and aggregate statistics.
+def run_campaign(campaign: Campaign) -> dict[tuple[str, int], PairResult]:
+    """Execute a campaign, write its CSV outputs, and return the
+    ``PairResult`` of each (function, dimension) pair.
 
     Existing per-run rows in the output directory are reused untouched;
     only missing (function, dimension, run) triples are computed. A kept
     row whose seed is not ``base_seed + run``, or a kept row or program
-    line whose run is ``campaign.runs`` or more, raises ValueError before
-    any run starts or any file is written. Partial results are flushed to
-    disk even when a run fails.
+    line whose run is not in ``range(campaign.runs)``, raises ValueError
+    before any run starts or any file is written. Partial results are
+    flushed to disk even when a run fails.
     """
     out = Path(campaign.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -358,7 +355,7 @@ def run_campaign(campaign: Campaign) -> CampaignResult:
             _format(pair.median_full_loss), _format(pair.mean_full_loss),
         ]))
     _write_lines(out / "summary.csv", summary_lines)
-    return CampaignResult(pairs=pairs)
+    return pairs
 
 
 def export_surface_grid(fn: BenchmarkFunction, program: Program,

@@ -23,6 +23,9 @@ Execution semantics (fixed for reproducibility):
 
 Programs are immutable values and the interpreter is pure and reentrant;
 the genetic operators draw all randomness from a caller-owned generator.
+A program is its dimension and code alone: the constant ranges its
+payloads are drawn from are a setting of the run, passed to
+``random_program`` and ``mutate``.
 
 ``interpret_batch`` compiles each program once, on its first call, and
 keeps the result on the program. The static pass drops the instructions
@@ -46,7 +49,6 @@ import numpy as np
 
 MAX_PROGRAM_LENGTH = 200
 DIV_GUARD = 1e-9
-DEFAULT_CONST_RANGE = ((-10.0, 10.0),)
 
 _N_OPERATORS = 6
 
@@ -119,14 +121,12 @@ class Program:
 
     dimension: int
     code: tuple[Instruction, ...]
-    const_range: tuple[tuple[float, float], ...] = DEFAULT_CONST_RANGE
     # compiled by the first interpret_batch call; not part of the value
     _plan: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "code", tuple(self.code))
-        object.__setattr__(self, "const_range", _as_ranges(self.const_range))
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         if not 1 <= len(self.code) <= MAX_PROGRAM_LENGTH:
@@ -268,15 +268,6 @@ def interpret_batch(program: Program, points) -> np.ndarray:
     return np.full(pts.shape[0], total) if total.ndim == 0 else total
 
 
-def interpret(program: Program, x) -> float:
-    """Evaluate ``program`` at a single point."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != program.dimension:
-        raise ValueError(
-            f"point must have length {program.dimension}, got shape {x.shape}")
-    return float(interpret_batch(program, x[None, :])[0])
-
-
 def _random_instruction(dimension: int, ranges, rng) -> Instruction:
     # Terminal with probability 0.5 (then const vs variable 50/50),
     # otherwise a uniform choice among the six operators.
@@ -303,7 +294,7 @@ def random_program(dimension: int, max_length: int, const_range, rng,
     ranges = _as_ranges(const_range)
     length = int(rng.integers(min_length, max_length + 1))
     code = tuple(_random_instruction(dimension, ranges, rng) for _ in range(length))
-    return Program(dimension, code, ranges)
+    return Program(dimension, code)
 
 
 def splice(code_a: Sequence[Instruction], code_b: Sequence[Instruction],
@@ -330,10 +321,8 @@ def two_point_crossover(a: Program, b: Program, rng) -> tuple[Program, Program]:
     ia, ja = sorted(int(v) for v in rng.integers(0, len(a.code) + 1, size=2))
     ib, jb = sorted(int(v) for v in rng.integers(0, len(b.code) + 1, size=2))
     code_a, code_b = splice(a.code, b.code, (ia, ja), (ib, jb))
-    child_a = a if not code_a else Program(
-        a.dimension, code_a[:MAX_PROGRAM_LENGTH], a.const_range)
-    child_b = b if not code_b else Program(
-        b.dimension, code_b[:MAX_PROGRAM_LENGTH], b.const_range)
+    child_a = a if not code_a else Program(a.dimension, code_a[:MAX_PROGRAM_LENGTH])
+    child_b = b if not code_b else Program(b.dimension, code_b[:MAX_PROGRAM_LENGTH])
     return child_a, child_b
 
 
@@ -360,7 +349,7 @@ def mutate(program: Program, p_m: float, const_range, rng) -> Program:
             code[i] = Instruction(Op.VAR, int(rng.integers(program.dimension)))
         else:
             code[i] = _OPERATORS[int(rng.integers(_N_OPERATORS))]
-    return Program(program.dimension, tuple(code), ranges)
+    return Program(program.dimension, tuple(code))
 
 
 def render(program: Program) -> str:
@@ -376,7 +365,7 @@ def render(program: Program) -> str:
     return " ".join(tokens)
 
 
-def parse(text: str, dimension: int, const_range=DEFAULT_CONST_RANGE) -> Program:
+def parse(text: str, dimension: int) -> Program:
     """Parse the textual form back into a Program; inverse of render()."""
     code = []
     for token in text.split():
@@ -391,4 +380,4 @@ def parse(text: str, dimension: int, const_range=DEFAULT_CONST_RANGE) -> Program
             code.append(Instruction(Op.CONST, float(token)))
         except ValueError:
             raise ValueError(f"unknown program token {token!r}") from None
-    return Program(dimension, tuple(code), const_range)
+    return Program(dimension, tuple(code))

@@ -38,7 +38,6 @@ try:  # CPython's builtin module; hashlib would also load OpenSSL
 except ImportError:  # an interpreter built without it
     from hashlib import blake2b
 
-GP_CONST_SCALE = 10.0
 RMSE_SAMPLES_PER_DIMENSION = 100
 
 
@@ -168,7 +167,7 @@ def tournament_select(population: list[ScoredIndividual], k: int,
 GP_CONST_DECADES = 7
 
 
-def default_const_range(fn: BenchmarkFunction, sample_values=None):
+def default_const_range(fn: BenchmarkFunction, sample_values):
     """Constant intervals for a benchmark, one picked uniformly per constant.
 
     Intervals derive from the domain and codomain boundaries of the target:
@@ -179,14 +178,9 @@ def default_const_range(fn: BenchmarkFunction, sample_values=None):
     roughly log-uniform coverage of magnitudes, so coefficients exist at
     whatever scale a term needs, from vertical offsets down to the tiny
     quadratic coefficients of wide-domain, small-value targets.
-
-    Without sample values a fixed fallback stands in for the codomain.
     """
-    if sample_values is None:
-        low, high = -GP_CONST_SCALE, GP_CONST_SCALE
-    else:
-        low = float(np.min(sample_values))
-        high = float(np.max(sample_values))
+    low = float(np.min(sample_values))
+    high = float(np.max(sample_values))
     scale = max(abs(fn.lower), abs(fn.upper), abs(low), abs(high), 1e-12)
     ranges = [(fn.lower, fn.upper), (low, high)]
     step = scale

@@ -117,7 +117,7 @@ def test_criterion_4_desk_scale_medians(campaign_result):
     failures = []
     details = []
     for name in ("alpine", "rastrigin", "griewank", "rosenbrock"):
-        median = campaign_result.pairs[(name, 2)].median_fitness
+        median = campaign_result[(name, 2)].median_fitness
         details.append(f"{name} median f(argmin)={median:.3e}")
         if not median <= 1e-2:
             failures.append(name)
@@ -129,7 +129,7 @@ def test_criterion_5_argmin_localization(campaign_result):
     ok = True
     for name in ("rastrigin", "alpine"):
         argmin_true = np.array(benchmarks.get(name, 2).known_argmin)
-        rows = campaign_result.pairs[(name, 2)].rows
+        rows = campaign_result[(name, 2)].rows
         near = sum(
             np.linalg.norm(np.array(row.argmin) - argmin_true) <= 0.15
             for row in rows)
@@ -139,8 +139,8 @@ def test_criterion_5_argmin_localization(campaign_result):
 
 
 def test_criterion_6_hard_curvature_cases(campaign_result):
-    schwefel = campaign_result.pairs[("schwefel", 2)].median_fitness
-    michalewicz = campaign_result.pairs[("michalewicz", 2)].median_fitness
+    schwefel = campaign_result[("schwefel", 2)].median_fitness
+    michalewicz = campaign_result[("michalewicz", 2)].median_fitness
     ok = schwefel <= 1.0 and michalewicz <= -1.5
     report(6, ok, f"schwefel median={schwefel:.3e} (<=1.0), "
                   f"michalewicz median={michalewicz:.3f} (<=-1.5)")

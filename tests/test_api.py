@@ -1,6 +1,6 @@
-"""Package surface checks: no unused imports, every exported name resolves,
-the CLI run as a process writes where its --out points, and every name the
-benchmark's tracer wraps exists."""
+"""Package surface checks: no unused imports, every exported name resolves
+and is read by the package itself, the CLI run as a process writes where its
+--out points, and every name the benchmark's tracer wraps exists."""
 
 import ast
 import importlib.util
@@ -58,6 +58,27 @@ def test_unused_import_is_detected():
 def test_exported_names_resolve():
     missing = [name for name in smoothgp.__all__ if not hasattr(smoothgp, name)]
     assert not missing
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names and attribute names that the module's code reads."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_every_exported_name_is_read_by_the_package():
+    # a public name that no package code reads is API that only tests call
+    read = set()
+    for path in MODULES:
+        if path.name != "__init__.py":
+            read |= read_names(ast.parse(path.read_text(encoding="utf-8")))
+    unread = sorted(set(smoothgp.__all__) - read)
+    assert not unread, f"exported but read by no package module: {unread}"
 
 
 def test_cli_import_does_not_load_the_process_pool():

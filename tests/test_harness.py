@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import os
+import re
 import threading
 import tracemalloc
 
@@ -190,7 +191,8 @@ class TestCampaignValidation:
             tiny_campaign(tmp_path, functions=("nosuch",))
 
     def test_bad_dimension_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
+        message = f"dimension 5 outside supported {benchmarks.CATALOG_DIMENSIONS}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             tiny_campaign(tmp_path, dimensions=(5,))
 
     def test_unknown_override_rejected(self, tmp_path):
@@ -211,7 +213,7 @@ class TestRunCampaign:
         assert csv_lines[0] == ("function,dimension,run,seed,fitness_f_at_argmin,"
                                 "fitness_full_L,rmse,argmin_0,argmin_1")
         assert len(csv_lines) == 2
-        pair = result.pairs[("rastrigin", 2)]
+        pair = result[("rastrigin", 2)]
         assert pair.median_fitness == pair.rows[0].f_at_argmin
         summary = (tmp_path / "summary.csv").read_text().splitlines()
         assert len(summary) == 2
@@ -219,7 +221,7 @@ class TestRunCampaign:
     def test_median_of_three_runs(self, tmp_path):
         campaign = tiny_campaign(tmp_path, runs=3)
         result = run_campaign(campaign)
-        pair = result.pairs[("rastrigin", 2)]
+        pair = result[("rastrigin", 2)]
         values = sorted(row.f_at_argmin for row in pair.rows)
         assert pair.median_fitness == values[1]
         assert len(pair.rows) == 3
@@ -228,7 +230,7 @@ class TestRunCampaign:
         # any single run is re-executable in isolation from its seed
         campaign = tiny_campaign(tmp_path, runs=2)
         result = run_campaign(campaign)
-        row = result.pairs[("rastrigin", 2)].rows[1]
+        row = result[("rastrigin", 2)].rows[1]
         config = harness.config_for(2, campaign.base_seed + 1,
                                     campaign.overrides)
         from smoothgp.surrogate import evolve
@@ -249,7 +251,7 @@ class TestRunCampaign:
         path.write_text("\n".join(lines) + "\n")
         result = run_campaign(campaign)
         assert path.read_text().splitlines()[1] == lines[1]
-        assert result.pairs[("rastrigin", 2)].rows[0].f_at_argmin == 123.456
+        assert result[("rastrigin", 2)].rows[0].f_at_argmin == 123.456
 
     def test_resume_fills_missing_rows(self, tmp_path):
         campaign = tiny_campaign(tmp_path, runs=3)
@@ -280,6 +282,25 @@ class TestRunCampaign:
         with pytest.raises(ValueError, match=r"rastrigin_d2\.csv: run 2 .* 2 runs"):
             run_campaign(tiny_campaign(tmp_path, runs=2))
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_negative_run_in_kept_files_fails_and_keeps_files(self, tmp_path):
+        run_campaign(tiny_campaign(tmp_path, runs=2))
+        path = pair_csv_path(tmp_path, "rastrigin", 2)
+        programs = tmp_path / "rastrigin_d2_programs.txt"
+        row = path.read_text().splitlines()[1].split(",")
+        row[2], row[3] = "-1", "10"  # the seed matches base seed 11 + run -1
+        path.write_text(path.read_text() + ",".join(row) + "\n")
+        programs.write_text(programs.read_text() + "-1\t10\tx0\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match=r"rastrigin_d2\.csv: run -1 .* 2 runs"):
+            run_campaign(tiny_campaign(tmp_path, runs=2))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        # with the row gone, the program line alone still stops the rerun
+        rows = path.read_text().splitlines()[:-1]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=r"programs\.txt: run -1 .* 2 runs"):
+            run_campaign(tiny_campaign(tmp_path, runs=2))
+        assert programs.read_bytes() == before[programs.name]
 
     def test_stale_program_line_fails(self, tmp_path):
         run_campaign(tiny_campaign(tmp_path, runs=2))

@@ -9,11 +9,16 @@ import pytest
 from smoothgp import stackgp
 from smoothgp.stackgp import (ADD, DIV, DUP, MUL, SUB, SWAP,
                               MAX_PROGRAM_LENGTH, Instruction, Op, Program,
-                              const, interpret, interpret_batch, mutate,
-                              parse, random_program, render, splice,
+                              const, interpret_batch, mutate, parse,
+                              random_program, render, splice,
                               two_point_crossover, var)
 
 CHI2_99_DF8 = 20.09  # upper 1% quantile of chi-square with 8 dof
+
+
+def interpret(program, x):
+    """``program`` at the single point ``x``, as a one-row batch."""
+    return float(interpret_batch(program, [x])[0])
 
 
 def reference_interpret(program, x):
@@ -224,12 +229,15 @@ class TestRandomProgram:
 
     def test_const_payloads_respect_ranges(self):
         rng = np.random.default_rng(9)
-        ranges = ((-2.0, -1.0), (5.0, 6.0))
-        for _ in range(50):
-            p = random_program(2, 10, ranges, rng)
-            for ins in p.code:
-                if ins.op == Op.CONST:
-                    assert -2.0 <= ins.arg <= -1.0 or 5.0 <= ins.arg <= 6.0
+        pairs = ((-2.0, -1.0), (5.0, 6.0))
+        # a sequence of (lo, hi) intervals, then a single (lo, hi) pair
+        for ranges, intervals in ((pairs, pairs), ((5.0, 6.0), ((5.0, 6.0),))):
+            payloads = []
+            for _ in range(50):
+                p = random_program(2, 10, ranges, rng)
+                payloads += [ins.arg for ins in p.code if ins.op == Op.CONST]
+            assert payloads
+            assert all(any(lo <= v <= hi for lo, hi in intervals) for v in payloads)
 
 
 class TestCrossover:
@@ -281,7 +289,7 @@ class TestMutate:
     def test_zero_rate_is_identity(self):
         rng = np.random.default_rng(4)
         p = random_program(2, 20, (-5.0, 5.0), rng)
-        assert mutate(p, 0.0, p.const_range, rng) == p
+        assert mutate(p, 0.0, (-5.0, 5.0), rng) == p
 
     def test_full_rate_changes_constant_slots(self):
         # a slot holding a constant is replaced by an identical instruction
@@ -299,8 +307,7 @@ class TestMutate:
         changed = 0
         for start in range(0, n, MAX_PROGRAM_LENGTH):
             p = Program(2, tuple(const(float(start + i) / n)
-                                 for i in range(MAX_PROGRAM_LENGTH)),
-                        ((2.0, 3.0),))
+                                 for i in range(MAX_PROGRAM_LENGTH)))
             mutated = mutate(p, 0.2, ((2.0, 3.0),), rng)
             changed += sum(x != y for x, y in zip(p.code, mutated.code))
         sigma = math.sqrt(n * 0.2 * 0.8)
@@ -310,7 +317,7 @@ class TestMutate:
         rng = np.random.default_rng(10)
         p = random_program(2, 50, (-5.0, 5.0), rng)
         code_before = p.code
-        mutated = mutate(p, 0.7, p.const_range, rng)
+        mutated = mutate(p, 0.7, (-5.0, 5.0), rng)
         assert len(mutated) == len(p)
         assert p.code == code_before
 
@@ -331,7 +338,7 @@ class TestSerialization:
         rng = np.random.default_rng(21)
         for _ in range(200):
             p = random_program(3, 60, ((-600.0, 600.0), (-10.0, 10.0)), rng)
-            assert parse(render(p), 3, p.const_range) == p
+            assert parse(render(p), 3) == p
 
     def test_uppercase_stack_ops(self):
         p = Program(1, (var(0), DUP, MUL, var(0), SWAP))
@@ -356,7 +363,3 @@ class TestProgramInvariants:
             Program(1, ())
         with pytest.raises(ValueError):
             Program(1, (const(0.0),) * (MAX_PROGRAM_LENGTH + 1))
-
-    def test_single_interval_const_range_normalized(self):
-        p = Program(1, (const(0.0),), (-1.0, 1.0))
-        assert p.const_range == ((-1.0, 1.0),)
