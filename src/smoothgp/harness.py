@@ -209,16 +209,23 @@ def pair_programs_path(output_dir, name: str, dimension: int) -> Path:
 
 
 def _read_keyed_lines(path: Path, key_field: int, sep: str) -> dict[int, str]:
-    """Lines after the header, keyed by the integer in field ``key_field``."""
+    """Lines after the header, keyed by the integer in field ``key_field``.
+
+    A second line with the same key raises ValueError: keeping either one
+    would silently drop the other.
+    """
     if not path.exists():
         return {}
     keyed = {}
     for line in path.read_text(encoding="utf-8").splitlines()[1:]:
         parts = line.split(sep)
         try:
-            keyed[int(parts[key_field])] = line
+            run = int(parts[key_field])
         except (IndexError, ValueError):
             continue
+        if run in keyed:
+            raise ValueError(f"{path}: run {run} is on more than one line")
+        keyed[run] = line
     return keyed
 
 
@@ -292,9 +299,9 @@ def run_campaign(campaign: Campaign) -> dict[tuple[str, int], PairResult]:
     Existing per-run rows in the output directory are reused untouched;
     only missing (function, dimension, run) triples are computed. A kept
     row whose seed is not ``base_seed + run``, or a kept row or program
-    line whose run is not in ``range(campaign.runs)``, raises ValueError
-    before any run starts or any file is written. Partial results are
-    flushed to disk even when a run fails.
+    line whose run is not in ``range(campaign.runs)`` or is on another line
+    of its file too, raises ValueError before any run starts or any file is
+    written. Partial results are flushed to disk even when a run fails.
     """
     out = Path(campaign.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -33,7 +33,10 @@ from . import fstpso, stackgp
 from .benchmarks import BenchmarkFunction
 from .stackgp import Program
 
-try:  # CPython's builtin module; hashlib would also load OpenSSL
+# The seed hash comes from CPython's builtin _blake2: hashlib would map
+# OpenSSL's libcrypto into every process that imports smoothgp. numpy.random
+# maps it too, unless cli.entrypoint has hidden _hashlib.
+try:
     from _blake2 import blake2b
 except ImportError:  # an interpreter built without it
     from hashlib import blake2b

@@ -1,6 +1,7 @@
 """Package surface checks: no unused imports, every exported name resolves
 and is read by the package itself, the CLI run as a process writes where its
---out points, and every name the benchmark's tracer wraps exists."""
+--out points and keeps OpenSSL out, and every name the benchmark's tracer
+wraps exists."""
 
 import ast
 import importlib.util
@@ -97,6 +98,62 @@ def test_cli_import_does_not_load_openssl():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                             text=True, check=True, env=env)
     assert result.stdout.strip() == "False"
+
+
+def _probe_tiny_run(tmp_path, call: str) -> str:
+    """Run a tiny campaign by ``call`` in a fresh interpreter; return the
+    probe's stdout: whether numpy.random is loaded, and _hashlib's entry."""
+    probe = f"""
+import sys
+from smoothgp import cli
+argv = ["run", "--function", "rastrigin", "--runs", "1", "--generations", "1",
+        "--pop", "4", "--pso-iters", "3", "--workers", "1", "--out", "out"]
+{call}
+print("numpy.random" in sys.modules, repr(sys.modules.get("_hashlib", "absent")))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(smoothgp.__file__).parent.parent))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, check=True, env=env, cwd=tmp_path)
+    return result.stdout.splitlines()[-1]
+
+
+def test_cli_entrypoint_run_does_not_load_openssl(tmp_path):
+    # numpy.random imports secrets -> hmac -> _hashlib, which maps libcrypto
+    from smoothgp import cli
+    if not all(importlib.util.find_spec(name) for name in cli._BUILTIN_DIGESTS):
+        pytest.skip("hashlib lacks a builtin digest here; _hashlib is kept")
+    call = """
+sys.argv = ["smoothgp", *argv]
+try:
+    cli.entrypoint()
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+"""
+    assert _probe_tiny_run(tmp_path, call) == "True None"
+
+
+def test_cli_main_run_leaves_hashlib_importable(tmp_path):
+    if importlib.util.find_spec("_hashlib") is None:
+        pytest.skip("this interpreter has no _hashlib")
+    call = "assert cli.main(argv) == 0\nimport _hashlib"
+    assert _probe_tiny_run(tmp_path, call).startswith("True <module '_hashlib'")
+
+
+def test_hide_openssl_keeps_hashlib_without_every_builtin_digest():
+    # without _sha1, hashlib would log "code for hash sha1 was not found"
+    probe = """
+import importlib.util, sys
+from smoothgp import cli
+find_spec = importlib.util.find_spec
+importlib.util.find_spec = lambda name, *a: None if name == "_sha1" else find_spec(name, *a)
+before = dict(sys.modules)
+cli._hide_openssl()
+print(sys.modules == before and "_hashlib" not in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(smoothgp.__file__).parent.parent))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, check=True, env=env)
+    assert result.stdout.strip() == "True"
 
 
 def _run_cli_to_stdout_link(tmp_path, command, mode="a"):

@@ -302,6 +302,26 @@ class TestRunCampaign:
             run_campaign(tiny_campaign(tmp_path, runs=2))
         assert programs.read_bytes() == before[programs.name]
 
+    def test_duplicated_run_in_kept_files_fails_and_keeps_files(self, tmp_path):
+        run_campaign(tiny_campaign(tmp_path, runs=2))
+        path = pair_csv_path(tmp_path, "rastrigin", 2)
+        programs = tmp_path / "rastrigin_d2_programs.txt"
+        row = path.read_text().splitlines()[1].split(",")
+        row[4] = "999.0"  # a second run 0 with another f(argmin)
+        path.write_text(path.read_text() + ",".join(row) + "\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match=r"rastrigin_d2\.csv: run 0 .* more than one"):
+            run_campaign(tiny_campaign(tmp_path, runs=2))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        # with the row gone, a duplicated program line alone stops the rerun
+        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        line = programs.read_text().splitlines()[1]
+        programs.write_text(programs.read_text() + line + "\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match=r"programs\.txt: run 0 .* more than one"):
+            run_campaign(tiny_campaign(tmp_path, runs=2))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_stale_program_line_fails(self, tmp_path):
         run_campaign(tiny_campaign(tmp_path, runs=2))
         programs = tmp_path / "rastrigin_d2_programs.txt"
