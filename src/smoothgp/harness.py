@@ -8,10 +8,10 @@ takes them longest first, by population times swarm size, so short runs
 fill the pool's tail. Outputs are ordered by run index before writing, so
 bytes never depend on scheduling, and after a failure the first failing
 run in campaign order is re-raised.
-Rerunning a partially completed campaign skips run rows that already exist
-on disk and preserves their bytes; a kept row written with another base
-seed, or for a run index the campaign does not have, is an error. Every
-file is written to a sibling temp file and moved onto its path with
+Rerunning a partially completed campaign keeps the rows already on disk
+byte for byte: each pair's kept and computed runs share one map, from
+which both pair files and the summary are written. Every file is written
+to a sibling temp file and moved onto its path with
 ``os.replace``, so a crash mid-write leaves the old file intact.
 
 Median convention: for even run counts the lower-middle element is used.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +68,6 @@ class RunRow:
     full_loss: float
     rmse: float
     argmin: tuple[float, ...]
-    program: str | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -106,6 +105,11 @@ class Campaign:
             if dim not in benchmarks.CATALOG_DIMENSIONS:
                 raise ValueError(f"dimension {dim} outside supported "
                                  f"{benchmarks.CATALOG_DIMENSIONS}")
+        # a pair listed twice would be computed twice and summarized twice
+        for kind, values in (("function", normalized), ("dimension", self.dimensions)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{kind} {value!r} is listed more than once")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.workers < 1:
@@ -125,36 +129,19 @@ def config_for(dimension: int, seed: int, overrides: dict) -> EvolutionConfig:
     return EvolutionConfig(seed=seed, **settings)
 
 
-def _run_task(task) -> RunRow:
-    name, dimension, run_index, seed, overrides = task
-    fn = benchmarks.get(name, dimension)
-    record = evolve(fn, config_for(dimension, seed, overrides))
-    best = record.best
-    return RunRow(
-        function=name,
-        dimension=dimension,
-        run=run_index,
-        seed=seed,
-        f_at_argmin=best.f_at_argmin,
-        full_loss=best.fitness,
-        rmse=best.rmse,
-        argmin=best.argmin,
-        program=stackgp.render(best.program),
-    )
+def _run_task(task) -> tuple[RunRow, str]:
+    """Evolve one run; its row and its programs-file line."""
+    name, dimension, run, config = task
+    best = evolve(benchmarks.get(name, dimension), config).best
+    row = RunRow(name, dimension, run, config.seed, best.f_at_argmin,
+                 best.fitness, best.rmse, best.argmin)
+    return row, f"{run}\t{config.seed}\t{stackgp.render(best.program)}"
 
 
 def _expected_cost(task) -> int:
-    """A run's relative cost, population times swarm size, for dispatch order.
-
-    Reads the population as ``config_for`` does but builds no config, and
-    takes the default for a value that is not an integer, so an invalid
-    config fails inside its own task rather than here.
-    """
-    _, dimension, _, _, overrides = task
-    population = overrides.get("population_size")
-    if not isinstance(population, int):
-        population = DEFAULT_POPULATION[dimension]
-    return population * fstpso.swarm_size(dimension)
+    """A run's relative cost, population times swarm size, for dispatch order."""
+    _, dimension, _, config = task
+    return config.population_size * fstpso.swarm_size(dimension)
 
 
 def _execute(tasks, workers: int, done: dict) -> None:
@@ -208,25 +195,54 @@ def pair_programs_path(output_dir, name: str, dimension: int) -> Path:
     return Path(output_dir) / f"{name}_d{dimension}_programs.txt"
 
 
-def _read_keyed_lines(path: Path, key_field: int, sep: str) -> dict[int, str]:
+def _read_keyed_lines(path: Path, key_field: int, sep: str, runs: int) -> dict[int, str]:
     """Lines after the header, keyed by the integer in field ``key_field``.
 
-    A second line with the same key raises ValueError: keeping either one
-    would silently drop the other.
+    A key outside ``range(runs)`` or on a second line raises ValueError,
+    since rewriting the file would drop that line.
     """
     if not path.exists():
         return {}
     keyed = {}
     for line in path.read_text(encoding="utf-8").splitlines()[1:]:
-        parts = line.split(sep)
         try:
-            run = int(parts[key_field])
+            run = int(line.split(sep)[key_field])
         except (IndexError, ValueError):
             continue
+        if not 0 <= run < runs:
+            raise ValueError(f"{path}: run {run} is outside the campaign's {runs} "
+                             f"runs; rewriting the file would drop it")
         if run in keyed:
             raise ValueError(f"{path}: run {run} is on more than one line")
         keyed[run] = line
     return keyed
+
+
+def _kept_runs(campaign: Campaign, name: str, dim: int) -> dict:
+    """The pair's runs on disk: ``{run: (row, csv line, program line or None)}``.
+
+    A truncated or garbled row is left out, so that its run is computed
+    again. A row whose seed is not ``base_seed + run``, or that belongs to
+    another (function, dimension) pair, raises ValueError.
+    """
+    path = pair_csv_path(campaign.output_dir, name, dim)
+    rows = _read_keyed_lines(path, 2, ",", campaign.runs)
+    programs = _read_keyed_lines(pair_programs_path(campaign.output_dir, name, dim),
+                                 0, "\t", campaign.runs)
+    kept = {}
+    for run, line in rows.items():
+        row = _parse_row(line, dim)
+        if row is None:
+            continue
+        if row.seed != campaign.base_seed + run:
+            raise ValueError(
+                f"{path}: run {run} has seed {row.seed}, expected "
+                f"{campaign.base_seed + run} from base seed {campaign.base_seed}")
+        if (row.function, row.dimension) != (name, dim):
+            raise ValueError(f"{path}: run {run} is a row of {row.function} "
+                             f"D={row.dimension}, not of {name} D={dim}")
+        kept[run] = (row, line, programs.get(run))
+    return kept
 
 
 @contextmanager
@@ -258,103 +274,49 @@ def _write_lines(path: Path, lines) -> None:
             handle.write(line + "\n")
 
 
-def _write_pair_outputs(campaign: Campaign, existing_rows, existing_programs,
-                        computed) -> None:
-    out = Path(campaign.output_dir)
-    for name, dim in campaign.pairs():
-        kept = existing_rows[(name, dim)]
-        fresh = {run: computed[(name, dim, run)]
-                 for run in range(campaign.runs)
-                 if (name, dim, run) in computed}
-        if not fresh and not kept:
-            continue
-        lines = [result_header(dim)]
-        program_lines = ["run\tseed\tprogram"]
-        for run in range(campaign.runs):
-            if run in kept:
-                lines.append(kept[run])
-            elif run in fresh:
-                lines.append(_row_line(fresh[run]))
-            else:
-                continue
-            if run in fresh:
-                program_lines.append(
-                    f"{run}\t{fresh[run].seed}\t{fresh[run].program}")
-            elif run in existing_programs[(name, dim)]:
-                program_lines.append(existing_programs[(name, dim)][run])
-        _write_lines(pair_csv_path(out, name, dim), lines)
-        _write_lines(pair_programs_path(out, name, dim), program_lines)
-
-
-def _check_run_in_range(path: Path, run: int, runs: int) -> None:
-    if not 0 <= run < runs:
-        raise ValueError(f"{path}: run {run} is outside the campaign's {runs} "
-                         f"runs; rewriting the file would drop it")
-
-
 def run_campaign(campaign: Campaign) -> dict[tuple[str, int], PairResult]:
     """Execute a campaign, write its CSV outputs, and return the
     ``PairResult`` of each (function, dimension) pair.
 
-    Existing per-run rows in the output directory are reused untouched;
-    only missing (function, dimension, run) triples are computed. A kept
-    row whose seed is not ``base_seed + run``, or a kept row or program
-    line whose run is not in ``range(campaign.runs)`` or is on another line
-    of its file too, raises ValueError before any run starts or any file is
-    written. Partial results are flushed to disk even when a run fails.
+    Kept per-run rows are reused untouched; only missing runs are computed.
+    These raise ValueError before any run starts or any file is written,
+    even when no run is left: an invalid setting, which fails before the
+    output directory is created; a kept row or program line whose run is
+    outside ``range(campaign.runs)`` or on two lines; a kept row whose seed
+    is not ``base_seed + run`` or that belongs to another pair. Partial
+    results are flushed to disk even when a run fails.
     """
+    configs = {dim: config_for(dim, campaign.base_seed, campaign.overrides)
+               for dim in campaign.dimensions}
+    runs = {(name, dim): _kept_runs(campaign, name, dim)
+            for name, dim in campaign.pairs()}
+    tasks = [(name, dim, run, replace(configs[dim], seed=campaign.base_seed + run))
+             for (name, dim), kept in runs.items()
+             for run in range(campaign.runs) if run not in kept]
     out = Path(campaign.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    existing_rows = {}
-    existing_programs = {}
-    tasks = []
-    for name, dim in campaign.pairs():
-        path = pair_csv_path(out, name, dim)
-        kept = existing_rows[(name, dim)] = {}
-        for run, line in _read_keyed_lines(path, key_field=2, sep=",").items():
-            row = _parse_row(line, dim)
-            if row is None:
-                continue  # a truncated or garbled row is recomputed
-            _check_run_in_range(path, run, campaign.runs)
-            if row.seed != campaign.base_seed + run:
-                raise ValueError(
-                    f"{path}: run {run} has seed {row.seed}, expected "
-                    f"{campaign.base_seed + run} from base seed "
-                    f"{campaign.base_seed}")
-            kept[run] = line
-        programs_path = pair_programs_path(out, name, dim)
-        existing_programs[(name, dim)] = _read_keyed_lines(
-            programs_path, key_field=0, sep="\t")
-        for run in existing_programs[(name, dim)]:
-            _check_run_in_range(programs_path, run, campaign.runs)
-        for run in range(campaign.runs):
-            if run not in kept:
-                tasks.append((name, dim, run, campaign.base_seed + run,
-                              dict(campaign.overrides)))
     computed = {}
     try:
         _execute(tasks, campaign.workers, computed)
     finally:
-        _write_pair_outputs(campaign, existing_rows, existing_programs, computed)
+        for (name, dim, run), (row, program_line) in computed.items():
+            runs[(name, dim)][run] = (row, _row_line(row), program_line)
+        for (name, dim), records in runs.items():
+            if records:
+                ordered = [records[run] for run in sorted(records)]
+                _write_lines(pair_csv_path(out, name, dim),
+                             [result_header(dim), *(line for _, line, _ in ordered)])
+                _write_lines(pair_programs_path(out, name, dim), ["run\tseed\tprogram"]
+                             + [program for _, _, program in ordered if program])
 
     pairs = {}
     summary_lines = [SUMMARY_HEADER]
-    for name, dim in campaign.pairs():
-        rows = []
-        for run in range(campaign.runs):
-            if (name, dim, run) in computed:
-                rows.append(computed[(name, dim, run)])
-            else:
-                rows.append(_parse_row(existing_rows[(name, dim)][run], dim))
+    for (name, dim), records in runs.items():
+        rows = tuple(records[run][0] for run in range(campaign.runs))
         f_values = [r.f_at_argmin for r in rows]
         loss_values = [r.full_loss for r in rows]
-        pair = PairResult(
-            rows=tuple(rows),
-            median_fitness=median_lower(f_values),
-            mean_fitness=float(np.mean(f_values)),
-            median_full_loss=median_lower(loss_values),
-            mean_full_loss=float(np.mean(loss_values)),
-        )
+        pair = PairResult(rows, median_lower(f_values), float(np.mean(f_values)),
+                          median_lower(loss_values), float(np.mean(loss_values)))
         pairs[(name, dim)] = pair
         summary_lines.append(",".join([
             name, str(dim), str(campaign.runs),

@@ -1,7 +1,7 @@
 """Package surface checks: no unused imports, every exported name resolves
-and is read by the package itself, the CLI run as a process writes where its
---out points and keeps OpenSSL out, and every name the benchmark's tracer
-wraps exists."""
+and every exported or private module-level name is read by the package
+itself, the CLI run as a process writes where its --out points and keeps
+OpenSSL out, and every name the benchmark's tracer wraps exists."""
 
 import ast
 import importlib.util
@@ -80,6 +80,45 @@ def test_every_exported_name_is_read_by_the_package():
             read |= read_names(ast.parse(path.read_text(encoding="utf-8")))
     unread = sorted(set(smoothgp.__all__) - read)
     assert not unread, f"exported but read by no package module: {unread}"
+
+
+def private_names(tree: ast.Module) -> dict[str, int]:
+    """Each ``_``-prefixed function, class or assigned name at module level,
+    dunders excluded, with the line it is defined on."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined = [n.id for t in targets for n in ast.walk(t)
+                       if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in defined:
+            if name.startswith("_") and not (name.startswith("__")
+                                             and name.endswith("__")):
+                names[name] = node.lineno
+    return names
+
+
+def test_every_private_name_is_read_by_the_package():
+    # a private helper that no package code reads is left over from a refactor
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in MODULES}
+    read = set().union(*map(read_names, trees.values()))
+    unread = [f"{module}: {name} (line {line})"
+              for module, tree in trees.items()
+              for name, line in private_names(tree).items() if name not in read]
+    assert not unread, f"defined but read by no package module: {unread}"
+
+
+def test_unread_private_name_is_detected():
+    tree = ast.parse("_A = 1\n_B, _C = 2, 3\n_D: int = 4\n__all__ = []\n"
+                     "def _f():\n    return _A\n"
+                     "class _K:\n    _inner = 5\n"
+                     "print(_C, _K)\n")
+    assert set(private_names(tree)) - read_names(tree) == {"_B", "_D", "_f"}
 
 
 def test_cli_import_does_not_load_the_process_pool():

@@ -203,6 +203,14 @@ class TestCampaignValidation:
         campaign = tiny_campaign(tmp_path, functions=("RaStRiGiN",))
         assert campaign.functions == ("rastrigin",)
 
+    def test_function_listed_twice_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="function 'rastrigin' is listed more"):
+            tiny_campaign(tmp_path, functions=("rastrigin", " RASTRIGIN"))
+
+    def test_dimension_listed_twice_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="dimension 2 is listed more"):
+            tiny_campaign(tmp_path, dimensions=(2, 3, "2"))
+
 
 class TestRunCampaign:
     def test_single_run_outputs(self, tmp_path):
@@ -330,24 +338,25 @@ class TestRunCampaign:
             run_campaign(tiny_campaign(tmp_path, runs=2))
 
     def test_execute_keeps_runs_finishing_after_a_failure(self):
-        # the first task fails on its config at once; its sibling finishes later
-        failing = dict(TINY_OVERRIDES, population_size=1)
-        tasks = [("rastrigin", 2, 0, 11, failing),
-                 ("rastrigin", 2, 1, 12, dict(TINY_OVERRIDES))]
+        # the first task fails on its unknown function at once; its sibling
+        # finishes later
+        config = harness.config_for(2, 11, TINY_OVERRIDES)
+        tasks = [("nosuch", 2, 0, config), ("rastrigin", 2, 1, config)]
         done = {}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown benchmark function"):
             harness._execute(tasks, 2, done)
         assert list(done) == [("rastrigin", 2, 1)]
 
     def test_execute_reraises_the_first_failure_in_task_order(self):
-        # the pool takes the non-integer population (costed at the default
-        # 50) first and the population of 1 last; both fail in their tasks
-        tasks = [("rastrigin", 2, 0, 11, dict(TINY_OVERRIDES, population_size=1)),
-                 ("rastrigin", 2, 1, 12, dict(TINY_OVERRIDES)),
-                 ("rastrigin", 2, 2, 13, dict(TINY_OVERRIDES, population_size="50"))]
-        assert [harness._expected_cost(t) for t in tasks] == [12, 72, 600]
+        # the pool takes the population of 50 first and the population of
+        # 2 last; both fail in their tasks, on unknown function names
+        tasks = [("first", 2, 0, harness.config_for(2, 11, dict(TINY_OVERRIDES,
+                                                                population_size=2))),
+                 ("rastrigin", 2, 1, harness.config_for(2, 12, TINY_OVERRIDES)),
+                 ("last", 2, 2, harness.config_for(2, 13, {}))]
+        assert [harness._expected_cost(t) for t in tasks] == [24, 72, 600]
         done = {}
-        with pytest.raises(ValueError, match="tournament_size must not exceed"):
+        with pytest.raises(ValueError, match="unknown benchmark function 'first'"):
             harness._execute(tasks, 2, done)
         assert list(done) == [("rastrigin", 2, 1)]
 
@@ -363,14 +372,58 @@ class TestRunCampaign:
         monkeypatch.setattr(harness, "_run_task", lambda task: task[:3])
         # costs 600, 650, 1400, 2400 and 650: population times swarm size,
         # with the default population where the override is None
-        tasks = [("alpine", d, 0, 0, {}) for d in (2, 3, 4)]
-        tasks.append(("alpine", 2, 1, 1, {"population_size": 200}))
-        tasks.append(("alpine", 3, 1, 1, {"population_size": None}))
+        tasks = [("alpine", d, 0, harness.config_for(d, 0, {})) for d in (2, 3, 4)]
+        tasks.append(("alpine", 2, 1, harness.config_for(2, 1, {"population_size": 200})))
+        tasks.append(("alpine", 3, 1, harness.config_for(3, 1, {"population_size": None})))
         done = {}
         harness._execute(tasks, 2, done)
         assert submitted == [("alpine", 2, 1), ("alpine", 4, 0), ("alpine", 3, 0),
                              ("alpine", 3, 1), ("alpine", 2, 0)]
         assert done == {task[:3]: task[:3] for task in tasks}
+
+    def test_invalid_setting_fails_before_the_output_directory_exists(self, tmp_path):
+        out = tmp_path / "results"
+        failing = dict(TINY_OVERRIDES, population_size=1)
+        with pytest.raises(ValueError, match="tournament_size must not exceed"):
+            run_campaign(tiny_campaign(out, overrides=failing))
+        assert not out.exists()
+
+    def test_invalid_setting_fails_on_a_complete_directory(self, tmp_path):
+        # no run is left to compute, yet the setting is refused
+        run_campaign(tiny_campaign(tmp_path))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        failing = dict(TINY_OVERRIDES, population_size=1)
+        with pytest.raises(ValueError, match="tournament_size must not exceed"):
+            run_campaign(tiny_campaign(tmp_path, overrides=failing))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_garbled_row_with_an_out_of_range_run_fails(self, tmp_path):
+        run_campaign(tiny_campaign(tmp_path))
+        path = pair_csv_path(tmp_path, "rastrigin", 2)
+        path.write_text(path.read_text() + "rastrigin,2,5,16,1.5\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match=r"rastrigin_d2\.csv: run 5 .* 2 runs"):
+            run_campaign(tiny_campaign(tmp_path))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_row_of_another_pair_fails_and_keeps_files(self, tmp_path, monkeypatch):
+        run_campaign(tiny_campaign(tmp_path, functions=("alpine", "rastrigin")))
+        alpine = pair_csv_path(tmp_path, "alpine", 2).read_text().splitlines()
+        path = pair_csv_path(tmp_path, "rastrigin", 2)
+        # rastrigin's run 1 replaced by alpine's, whose seed is the same;
+        # alpine's run 0 removed, so that a rerun would have a run to compute
+        path.write_text("\n".join(path.read_text().splitlines()[:2] + alpine[2:]) + "\n")
+        pair_csv_path(tmp_path, "alpine", 2).write_text(
+            "\n".join(alpine[:1] + alpine[2:]) + "\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def no_run(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "evolve", no_run)
+        with pytest.raises(ValueError, match=r"rastrigin_d2\.csv: run 1 .* alpine D=2"):
+            run_campaign(tiny_campaign(tmp_path, functions=("alpine", "rastrigin")))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_mixed_dimensions_do_not_change_bytes_with_workers(self, tmp_path):
         # with equal populations the pool takes D=4 first, then D=3, then D=2
