@@ -22,9 +22,9 @@ The bounds and their edge lengths must be finite. Velocity limits derive
 from the edge lengths: ``vmax = vmax_scale * (hi - lo)`` and
 ``vmin = vmin_scale * 0.01 * (hi - lo)`` per dimension.
 Positions are clamped to the box with the velocity zeroed on clamped
-dimensions (absorbing walls). ``optimize`` derives the box constants
-(bounds, edge lengths, diagonal) once per swarm, or takes a box derived
-once by its caller, and runs all iterations in one ``_advance`` loop. The
+dimensions (absorbing walls). The box constants (bounds, edge lengths,
+diagonal) are derived once per distinct bounds per process and shared
+read-only. ``optimize`` runs all iterations in one ``_advance`` loop. The
 loop reads the ``SwarmState`` into locals once, works in scratch arrays
 that a process allocates once per swarm shape and reuses across calls, and
 writes the state back once at the end; ``step`` is one iteration of that
@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -172,23 +173,29 @@ class SwarmState:
     evaluations_used: int = 0
 
 
-# constants of a bounds box, derived once per swarm by _box
+# constants of a bounds box, derived once per distinct bounds by _box
 _Box = namedtuple("_Box", "lo hi span diagonal")
 
 
 def _box(bounds) -> _Box:
-    if isinstance(bounds, _Box):
-        return bounds
     box = np.asarray(bounds, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2 or box.shape[0] < 1:
         raise ValueError("bounds must be a (D, 2) array of (lo, hi) pairs")
-    lo, hi = box[:, 0], box[:, 1]
+    return _derived_box(box.tobytes(), box.shape[0])
+
+
+@lru_cache(maxsize=64)
+def _derived_box(data: bytes, dimension: int) -> _Box:
+    # every swarm over these bounds shares the arrays, so they are read-only;
+    # a raised error is not cached, so invalid bounds raise on every call
+    lo, hi = np.frombuffer(data).reshape(dimension, 2).T
     if (lo > hi).any():
         raise ValueError("bounds must satisfy lo <= hi per dimension")
     span = hi - lo
     # a non-finite bound gives a non-finite edge length, like an overflow
     if not np.isfinite(span).all():
         raise ValueError("bounds and their edge lengths must be finite")
+    span.flags.writeable = False
     # the Euclidean norm exactly as np.linalg.norm computes it
     return _Box(lo, hi, span, math.sqrt(span.dot(span)))
 
@@ -365,8 +372,7 @@ def _advance(state: SwarmState, objective, box: _Box, rng, iterations: int) -> N
 def step(state: SwarmState, objective, bounds, rng) -> SwarmState:
     """Advance the swarm one iteration (one objective pass); returns state.
 
-    One iteration of the loop ``optimize`` runs. ``bounds`` may also be the
-    box ``optimize`` derived once for the swarm.
+    One iteration of the loop ``optimize`` runs.
     """
     _advance(state, objective, _box(bounds), np.random.default_rng(rng), 1)
     return state
@@ -394,7 +400,7 @@ def optimize(objective, bounds, budget: int, rng) -> tuple[np.ndarray, float]:
     size = swarm_size(box.lo.shape[0])
     if budget < size:
         raise ValueError(f"budget {budget} below swarm size {size}")
-    state = init_swarm(objective, box, rng)
+    state = init_swarm(objective, bounds, rng)
     _advance(state, objective, box, rng, budget // size - 1)
     assert state.evaluations_used <= budget
     return state.global_best_position.copy(), float(state.global_best_value)

@@ -219,29 +219,35 @@ def _read_keyed_lines(path: Path, key_field: int, sep: str, runs: int) -> dict[i
 
 
 def _kept_runs(campaign: Campaign, name: str, dim: int) -> dict:
-    """The pair's runs on disk: ``{run: (row, csv line, program line or None)}``.
+    """The pair's runs on disk: ``{run: (row, csv line, program line)}``.
 
-    A truncated or garbled row is left out, so that its run is computed
-    again. A row whose seed is not ``base_seed + run``, or that belongs to
+    A run is computed again when its row is truncated or garbled, or when
+    its program line is missing or lacks an integer seed or a program. A
+    row or program line whose seed is not ``base_seed + run``, or a row of
     another (function, dimension) pair, raises ValueError.
     """
     path = pair_csv_path(campaign.output_dir, name, dim)
+    programs_path = pair_programs_path(campaign.output_dir, name, dim)
     rows = _read_keyed_lines(path, 2, ",", campaign.runs)
-    programs = _read_keyed_lines(pair_programs_path(campaign.output_dir, name, dim),
-                                 0, "\t", campaign.runs)
+    programs = _read_keyed_lines(programs_path, 0, "\t", campaign.runs)
     kept = {}
-    for run, line in rows.items():
-        row = _parse_row(line, dim)
-        if row is None:
-            continue
-        if row.seed != campaign.base_seed + run:
-            raise ValueError(
-                f"{path}: run {run} has seed {row.seed}, expected "
-                f"{campaign.base_seed + run} from base seed {campaign.base_seed}")
-        if (row.function, row.dimension) != (name, dim):
+    for run in range(campaign.runs):
+        row = _parse_row(rows.get(run, ""), dim)
+        fields = programs.get(run, "").split("\t")
+        seeds = [] if row is None else [(path, row.seed)]
+        whole_program = len(fields) >= 3 and fields[1].removeprefix("-").isdecimal()
+        if whole_program:
+            seeds.append((programs_path, int(fields[1])))
+        for where, seed in seeds:
+            if seed != campaign.base_seed + run:
+                raise ValueError(
+                    f"{where}: run {run} has seed {seed}, expected "
+                    f"{campaign.base_seed + run} from base seed {campaign.base_seed}")
+        if row is not None and (row.function, row.dimension) != (name, dim):
             raise ValueError(f"{path}: run {run} is a row of {row.function} "
                              f"D={row.dimension}, not of {name} D={dim}")
-        kept[run] = (row, line, programs.get(run))
+        if row is not None and whole_program:
+            kept[run] = (row, rows[run], programs[run])
     return kept
 
 
@@ -282,9 +288,9 @@ def run_campaign(campaign: Campaign) -> dict[tuple[str, int], PairResult]:
     These raise ValueError before any run starts or any file is written,
     even when no run is left: an invalid setting, which fails before the
     output directory is created; a kept row or program line whose run is
-    outside ``range(campaign.runs)`` or on two lines; a kept row whose seed
-    is not ``base_seed + run`` or that belongs to another pair. Partial
-    results are flushed to disk even when a run fails.
+    outside ``range(campaign.runs)`` or on two lines; a kept row or program
+    line whose seed is not ``base_seed + run``; a row of another pair.
+    Partial results are flushed to disk even when a run fails.
     """
     configs = {dim: config_for(dim, campaign.base_seed, campaign.overrides)
                for dim in campaign.dimensions}
@@ -307,7 +313,7 @@ def run_campaign(campaign: Campaign) -> dict[tuple[str, int], PairResult]:
                 _write_lines(pair_csv_path(out, name, dim),
                              [result_header(dim), *(line for _, line, _ in ordered)])
                 _write_lines(pair_programs_path(out, name, dim), ["run\tseed\tprogram"]
-                             + [program for _, _, program in ordered if program])
+                             + [program for _, _, program in ordered])
 
     pairs = {}
     summary_lines = [SUMMARY_HEADER]

@@ -16,8 +16,9 @@ worst member of the population. The best individual can never be displaced
 The swarm stream used to score an individual is derived from the run seed
 and the program text, making the loss a pure function of the genome within
 a run: re-encountering a program always reproduces its score, and scoring
-order never matters. Ties anywhere resolve toward the lower population
-index.
+order never matters. Fitness ties resolve by population index: the lower
+index ranks first in a tournament and as the best, and of members tied for
+worst the higher index is replaced.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -103,19 +103,6 @@ class RunRecord:
                 raise ValueError("best-fitness trace must be non-increasing")
 
 
-@lru_cache(maxsize=64)
-def _search_box(fn: BenchmarkFunction):
-    """The swarm's box over ``fn.bounds``, derived once per distinct benchmark.
-
-    Invalid bounds raise on every call, since a raised error is not cached.
-    The box's arrays are read-only, as every scoring of ``fn`` shares them.
-    """
-    box = fstpso._box(fn.bounds)
-    for array in box.lo, box.hi, box.span:
-        array.flags.writeable = False
-    return box
-
-
 def fitness(program: Program, fn: BenchmarkFunction,
             sampled: tuple[np.ndarray, np.ndarray],
             pso_iterations: int, rng) -> ScoredIndividual:
@@ -133,7 +120,7 @@ def fitness(program: Program, fn: BenchmarkFunction,
     budget = pso_iterations * fstpso.swarm_size(fn.dimension)
     argmin, pso_min = fstpso.optimize(
         lambda pts: stackgp.interpret_batch(program, pts),
-        _search_box(fn), budget, rng)
+        fn.bounds, budget, rng)
     f_at = fn.evaluate(argmin)
     with np.errstate(over="ignore"):
         residual = values - stackgp.interpret_batch(program, points)
@@ -162,8 +149,7 @@ def tournament_select(population: list[ScoredIndividual], k: int,
         raise ValueError("tournament size must be >= 2")
     rng = np.random.default_rng(rng)
     drawn = rng.choice(len(population), size=k, replace=False)
-    ranked = sorted(int(i) for i in drawn)
-    ranked.sort(key=lambda i: (population[i].fitness, i))
+    ranked = sorted(map(int, drawn), key=lambda i: (population[i].fitness, i))
     return population[ranked[0]], population[ranked[1]]
 
 

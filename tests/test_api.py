@@ -1,7 +1,8 @@
 """Package surface checks: no unused imports, every exported name resolves
 and every exported or private module-level name is read by the package
-itself, the CLI run as a process writes where its --out points and keeps
-OpenSSL out, and every name the benchmark's tracer wraps exists."""
+itself, no module reads another package module's private name, the CLI run
+as a process writes where its --out points and keeps OpenSSL out, and
+every name the benchmark's tracer wraps exists."""
 
 import ast
 import importlib.util
@@ -82,6 +83,10 @@ def test_every_exported_name_is_read_by_the_package():
     assert not unread, f"exported but read by no package module: {unread}"
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
 def private_names(tree: ast.Module) -> dict[str, int]:
     """Each ``_``-prefixed function, class or assigned name at module level,
     dunders excluded, with the line it is defined on."""
@@ -96,8 +101,7 @@ def private_names(tree: ast.Module) -> dict[str, int]:
         else:
             continue
         for name in defined:
-            if name.startswith("_") and not (name.startswith("__")
-                                             and name.endswith("__")):
+            if _private(name):
                 names[name] = node.lineno
     return names
 
@@ -119,6 +123,39 @@ def test_unread_private_name_is_detected():
                      "class _K:\n    _inner = 5\n"
                      "print(_C, _K)\n")
     assert set(private_names(tree)) - read_names(tree) == {"_B", "_D", "_f"}
+
+
+def foreign_private_reads(tree: ast.Module) -> list[str]:
+    """Private names of other package modules that the module reads: ``m._x``
+    where ``from . import m`` binds ``m``, and ``from .m import _x``."""
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               and node.module is None for alias in node.names}
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            reads += [f"{node.module}.{alias.name}" for alias in node.names
+                      if _private(alias.name)]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and _private(node.attr)):
+            reads.append(f"{node.value.id}.{node.attr}")
+    return reads
+
+
+def test_no_module_reads_another_modules_private_name():
+    # a private name is its module's own; another module that reads it
+    # shares what its owner may change alone
+    reads = [f"{path.name}: {name}" for path in MODULES
+             for name in foreign_private_reads(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not reads, f"private names read across modules: {reads}"
+
+
+def test_foreign_private_read_is_detected():
+    tree = ast.parse("from . import fstpso as f, stackgp\nfrom .harness import _x, y\n"
+                     "import numpy as np\n"
+                     "f._box(stackgp.__name__, stackgp._plan, np._core, y._z)\n")
+    assert sorted(foreign_private_reads(tree)) == ["f._box", "harness._x",
+                                                   "stackgp._plan"]
 
 
 def test_cli_import_does_not_load_the_process_pool():

@@ -465,6 +465,53 @@ class TestWorkspaceReuse:
         later_swarm_matches_reference()
 
 
+class TestBox:
+    """A process derives one box per distinct bounds and shares it read-only."""
+
+    def test_equal_bounds_share_one_box(self):
+        box = fstpso._box(SPHERE_BOUNDS)
+        assert fstpso._box(SPHERE_BOUNDS.tolist()) is box
+        assert fstpso._box(((-5.0, 5.0), (-5.0, 5.0))) is box
+        assert fstpso._box(np.asfortranarray(SPHERE_BOUNDS)) is box
+        assert fstpso._box([[-5.0, 5.0]]) is not box
+
+    def test_box_does_not_follow_the_callers_array(self):
+        bounds = SPHERE_BOUNDS.copy()
+        box = fstpso._box(bounds)
+        bounds[0, 0] = -1.0
+        assert box.lo.tolist() == [-5.0, -5.0]
+        assert fstpso._box(SPHERE_BOUNDS) is box
+
+    @pytest.mark.parametrize("field", ["lo", "hi", "span"])
+    def test_box_arrays_are_read_only(self, field):
+        array = getattr(fstpso._box(SPHERE_BOUNDS), field)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+    @pytest.mark.parametrize("bounds, message", [
+        ([[1.0, 0.0]], "lo <= hi"), ([[0.0, np.inf]], "finite"),
+        ([[0.0, 1.0, 2.0]], r"\(D, 2\)")])
+    def test_invalid_bounds_raise_on_every_call(self, bounds, message):
+        # a raised error is not cached
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                optimize(sphere, bounds, 120, 0)
+
+    def test_array_and_list_bounds_give_identical_swarms(self):
+        pairs = SPHERE_BOUNDS.tolist()
+        assert result_bytes(optimize(sphere, pairs, 600, 5)) == result_bytes(
+            optimize(sphere, SPHERE_BOUNDS, 600, 5))
+        states = []
+        for bounds in SPHERE_BOUNDS, pairs:
+            rng = np.random.default_rng(5)
+            state = init_swarm(sphere, bounds, rng)
+            for _ in range(5):
+                step(state, sphere, bounds, rng)
+            states.append(state)
+        assert_same_state(*states)
+
+
 def test_scratch_memory_does_not_grow_with_the_budget():
     # a first call loads numpy internals lazily; keep that out of the peak
     optimize(sphere, SPHERE_BOUNDS, 120, 0)

@@ -337,6 +337,45 @@ class TestRunCampaign:
         with pytest.raises(ValueError, match=r"programs\.txt: run 2 .* 2 runs"):
             run_campaign(tiny_campaign(tmp_path, runs=2))
 
+    @pytest.mark.parametrize("damaged", [None, "1\t12", "1\ttwelve\tx0", "1\t\tx0"])
+    def test_lost_or_garbled_program_line_is_recomputed(self, tmp_path, damaged):
+        campaign = tiny_campaign(tmp_path, runs=2)
+        run_campaign(campaign)
+        path = pair_csv_path(tmp_path, "rastrigin", 2)
+        programs = tmp_path / "rastrigin_d2_programs.txt"
+        rows, full = path.read_bytes(), programs.read_text()
+        lines = full.splitlines()[:2] + ([] if damaged is None else [damaged])
+        programs.write_text("\n".join(lines) + "\n")
+        run_campaign(campaign)
+        assert programs.read_text() == full
+        assert path.read_bytes() == rows
+
+    def test_program_line_with_another_seed_fails_and_keeps_files(self, tmp_path,
+                                                                  monkeypatch):
+        run_campaign(tiny_campaign(tmp_path))
+        programs = tmp_path / "rastrigin_d2_programs.txt"
+        lines = programs.read_text().splitlines()
+        programs.write_text("\n".join(lines[:2] + ["1\t99\tx0"]) + "\n")
+        # with run 0's row gone, a rerun that passed the check would run it
+        path = pair_csv_path(tmp_path, "rastrigin", 2)
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join(rows[:1] + rows[2:]) + "\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def no_run(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "evolve", no_run)
+        with pytest.raises(ValueError, match=r"programs\.txt: run 1 has seed 99, "
+                                             r"expected 12 from base seed 11"):
+            run_campaign(tiny_campaign(tmp_path))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        # the line is refused even when its row is gone too
+        path.write_text(rows[0] + "\n")
+        with pytest.raises(ValueError, match=r"programs\.txt: run 1 has seed 99"):
+            run_campaign(tiny_campaign(tmp_path))
+        assert programs.read_bytes() == before[programs.name]
+
     def test_execute_keeps_runs_finishing_after_a_failure(self):
         # the first task fails on its unknown function at once; its sibling
         # finishes later
