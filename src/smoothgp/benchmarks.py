@@ -22,10 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-# Tolerance for |f(known_argmin) - known_minimum| on verified entries;
-# bounded by the 4-decimal argminima the reference table reports.
-OPTIMUM_TOL = 1e-3
-
 SCHWEFEL_OFFSET = 418.9829
 MICHALEWICZ_K = 10
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import benchmarks, fstpso, stackgp
 from .benchmarks import BenchmarkFunction
 from .stackgp import Program
-from .surrogate import EvolutionConfig, evolve
+from .surrogate import EvolutionConfig, as_count, evolve
 
 RESULT_COLUMNS = ("function", "dimension", "run", "seed",
                   "fitness_f_at_argmin", "fitness_full_L", "rmse")
@@ -110,10 +110,8 @@ class Campaign:
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ValueError(f"{kind} {value!r} is listed more than once")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for name in ("runs", "workers"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
         unknown = set(self.overrides) - _CONFIG_FIELDS
         if unknown:
             raise ValueError(f"unknown config overrides: {sorted(unknown)}")
@@ -187,6 +185,18 @@ def _parse_row(line: str, dimension: int) -> RunRow | None:
         return None
 
 
+def _program_seed(line: str, dimension: int) -> int | None:
+    """The seed of a programs-file line; None unless its three tab-separated
+    fields are a run, an integer seed and a program that parses at
+    ``dimension``."""
+    try:
+        _, seed, text = line.split("\t", 2)
+        stackgp.parse(text, dimension)
+    except ValueError:
+        return None
+    return int(seed) if seed.removeprefix("-").isdecimal() else None
+
+
 def pair_csv_path(output_dir, name: str, dimension: int) -> Path:
     return Path(output_dir) / f"{name}_d{dimension}.csv"
 
@@ -222,9 +232,10 @@ def _kept_runs(campaign: Campaign, name: str, dim: int) -> dict:
     """The pair's runs on disk: ``{run: (row, csv line, program line)}``.
 
     A run is computed again when its row is truncated or garbled, or when
-    its program line is missing or lacks an integer seed or a program. A
-    row or program line whose seed is not ``base_seed + run``, or a row of
-    another (function, dimension) pair, raises ValueError.
+    its program line is missing, lacks an integer seed, or holds a program
+    that does not parse at the pair's dimension. A row or program line
+    whose seed is not ``base_seed + run``, or a row of another (function,
+    dimension) pair, raises ValueError.
     """
     path = pair_csv_path(campaign.output_dir, name, dim)
     programs_path = pair_programs_path(campaign.output_dir, name, dim)
@@ -233,11 +244,10 @@ def _kept_runs(campaign: Campaign, name: str, dim: int) -> dict:
     kept = {}
     for run in range(campaign.runs):
         row = _parse_row(rows.get(run, ""), dim)
-        fields = programs.get(run, "").split("\t")
+        program_seed = _program_seed(programs.get(run, ""), dim)
         seeds = [] if row is None else [(path, row.seed)]
-        whole_program = len(fields) >= 3 and fields[1].removeprefix("-").isdecimal()
-        if whole_program:
-            seeds.append((programs_path, int(fields[1])))
+        if program_seed is not None:
+            seeds.append((programs_path, program_seed))
         for where, seed in seeds:
             if seed != campaign.base_seed + run:
                 raise ValueError(
@@ -246,7 +256,7 @@ def _kept_runs(campaign: Campaign, name: str, dim: int) -> dict:
         if row is not None and (row.function, row.dimension) != (name, dim):
             raise ValueError(f"{path}: run {run} is a row of {row.function} "
                              f"D={row.dimension}, not of {name} D={dim}")
-        if row is not None and whole_program:
+        if row is not None and program_seed is not None:
             kept[run] = (row, rows[run], programs[run])
     return kept
 

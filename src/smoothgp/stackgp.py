@@ -84,16 +84,6 @@ _TOKEN_OPS = {tok: Instruction(op) for op, tok in _OP_TOKENS.items()}
 _VAR_TOKEN = re.compile(r"x(\d+)")
 
 
-def const(value: float) -> Instruction:
-    """Instruction pushing a literal constant."""
-    return Instruction(Op.CONST, float(value))
-
-
-def var(index: int) -> Instruction:
-    """Instruction pushing input coordinate ``x[index]``."""
-    return Instruction(Op.VAR, int(index))
-
-
 def _as_ranges(const_range) -> tuple[tuple[float, float], ...]:
     """Normalize a constant range spec to a tuple of (lo, hi) intervals.
 

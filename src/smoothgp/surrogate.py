@@ -24,8 +24,8 @@ worst the higher index is replaced.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +42,20 @@ except ImportError:  # an interpreter built without it
     from hashlib import blake2b
 
 RMSE_SAMPLES_PER_DIMENSION = 100
+# the reference setup's per-instruction mutation rate and first-generation length
+MUTATION_RATE = 0.2
+INITIAL_LENGTH = 10
+
+
+def as_count(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int of at least ``minimum``; else ValueError naming ``name``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -50,28 +64,20 @@ class EvolutionConfig:
 
     population_size: int = 50
     generations: int = 100
-    mutation_rate: float = 0.2
     tournament_size: int = 4
-    initial_max_length: int = 10
     rmse_samples: int | None = None  # defaults to 100 * dimension
     pso_iterations: int = 100
     seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 1 or self.generations < 1:
-            raise ValueError("population_size and generations must be >= 1")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must be a probability")
-        if self.tournament_size < 2:
-            raise ValueError("tournament_size must be >= 2")
+        for name, minimum in (("population_size", 1), ("generations", 1),
+                              ("tournament_size", 2), ("rmse_samples", 1),
+                              ("pso_iterations", 1)):
+            if getattr(self, name) is not None:  # rmse_samples may be unset
+                object.__setattr__(self, name,
+                                   as_count(getattr(self, name), name, minimum))
         if self.tournament_size > self.population_size:
             raise ValueError("tournament_size must not exceed population_size")
-        if self.initial_max_length < 2:
-            raise ValueError("initial_max_length must be >= 2")
-        if self.rmse_samples is not None and self.rmse_samples < 1:
-            raise ValueError("rmse_samples must be >= 1")
-        if self.pso_iterations < 1:
-            raise ValueError("pso_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,6 @@ class ScoredIndividual:
     argmin: tuple[float, ...]
     fitness: float
     f_at_argmin: float
-    pso_min_value: float
     rmse: float
 
 
@@ -93,7 +98,6 @@ class RunRecord:
     best: ScoredIndividual
     best_fitness_per_generation: tuple[float, ...]
     total_benchmark_evaluations: int
-    wall_time: float = field(compare=False, default=0.0)
 
     def __post_init__(self):
         trace = tuple(float(v) for v in self.best_fitness_per_generation)
@@ -118,7 +122,7 @@ def fitness(program: Program, fn: BenchmarkFunction,
     if len(points) == 0:
         raise ValueError("sampled point set must be nonempty")
     budget = pso_iterations * fstpso.swarm_size(fn.dimension)
-    argmin, pso_min = fstpso.optimize(
+    argmin, _ = fstpso.optimize(
         lambda pts: stackgp.interpret_batch(program, pts),
         fn.bounds, budget, rng)
     f_at = fn.evaluate(argmin)
@@ -131,7 +135,6 @@ def fitness(program: Program, fn: BenchmarkFunction,
         argmin=tuple(argmin.tolist()),
         fitness=f_at + rmse,
         f_at_argmin=f_at,
-        pso_min_value=pso_min,
         rmse=rmse,
     )
 
@@ -202,7 +205,6 @@ def program_stream(run_seed: int, program: Program) -> np.random.Generator:
 
 def evolve(fn: BenchmarkFunction, config: EvolutionConfig) -> RunRecord:
     """Run the full surrogate evolution loop against one benchmark."""
-    started = time.perf_counter()
     n_samples = config.rmse_samples or RMSE_SAMPLES_PER_DIMENSION * fn.dimension
     master = np.random.SeedSequence(config.seed)
     sample_seq, gp_seq = master.spawn(2)
@@ -217,11 +219,10 @@ def evolve(fn: BenchmarkFunction, config: EvolutionConfig) -> RunRecord:
         return fitness(program, fn, sampled, config.pso_iterations,
                        program_stream(config.seed, program))
 
-    # first-generation individuals all carry the configured initial length
     population = [
         score(stackgp.random_program(
-            fn.dimension, config.initial_max_length, const_range, gp_rng,
-            min_length=config.initial_max_length))
+            fn.dimension, INITIAL_LENGTH, const_range, gp_rng,
+            min_length=INITIAL_LENGTH))
         for _ in range(config.population_size)
     ]
 
@@ -233,8 +234,7 @@ def evolve(fn: BenchmarkFunction, config: EvolutionConfig) -> RunRecord:
             child_a, child_b = stackgp.two_point_crossover(
                 parent_a.program, parent_b.program, gp_rng)
             for child in (child_a, child_b):
-                child = stackgp.mutate(child, config.mutation_rate,
-                                       const_range, gp_rng)
+                child = stackgp.mutate(child, MUTATION_RATE, const_range, gp_rng)
                 population[_worst_index(population)] = score(child)
         trace.append(population[_best_index(population)].fitness)
 
@@ -243,5 +243,4 @@ def evolve(fn: BenchmarkFunction, config: EvolutionConfig) -> RunRecord:
         best=best,
         best_fitness_per_generation=tuple(trace),
         total_benchmark_evaluations=benchmark_evaluations,
-        wall_time=time.perf_counter() - started,
     )

@@ -152,7 +152,7 @@ def test_criterion_7_elitism_monotonicity(campaign_result):
     # is active and spot-check real traces.
     best = ScoredIndividual(
         program=stackgp.parse("1.0", 2), argmin=(0.0, 0.0), fitness=1.0,
-        f_at_argmin=1.0, pso_min_value=0.0, rmse=0.0)
+        f_at_argmin=1.0, rmse=0.0)
     with pytest.raises(ValueError):
         RunRecord(best=best, best_fitness_per_generation=(1.0, 2.0),
                   total_benchmark_evaluations=1)

@@ -1,10 +1,12 @@
 """Package surface checks: no unused imports, every exported name resolves
 and every exported or private module-level name is read by the package
-itself, no module reads another package module's private name, the CLI run
-as a process writes where its --out points and keeps OpenSSL out, and
-every name the benchmark's tracer wraps exists."""
+itself, every public module-level name is read by the package or wrapped by
+the benchmark's tracer, no module reads another package module's private
+name, the CLI run as a process writes where its --out points and keeps
+OpenSSL out, and every name the benchmark's tracer wraps exists."""
 
 import ast
+import functools
 import importlib.util
 import os
 import subprocess
@@ -87,9 +89,9 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def private_names(tree: ast.Module) -> dict[str, int]:
-    """Each ``_``-prefixed function, class or assigned name at module level,
-    dunders excluded, with the line it is defined on."""
+def defined_names(tree: ast.Module) -> dict[str, int]:
+    """Each function, class or assigned name at module level, with the line
+    it is defined on."""
     names = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -101,9 +103,20 @@ def private_names(tree: ast.Module) -> dict[str, int]:
         else:
             continue
         for name in defined:
-            if _private(name):
-                names[name] = node.lineno
+            names[name] = node.lineno
     return names
+
+
+def private_names(tree: ast.Module) -> dict[str, int]:
+    """The ``_``-prefixed defined names, dunders excluded."""
+    return {name: line for name, line in defined_names(tree).items()
+            if _private(name)}
+
+
+def public_names(tree: ast.Module) -> dict[str, int]:
+    """The defined names without a leading ``_``."""
+    return {name: line for name, line in defined_names(tree).items()
+            if not name.startswith("_")}
 
 
 def test_every_private_name_is_read_by_the_package():
@@ -123,6 +136,29 @@ def test_unread_private_name_is_detected():
                      "class _K:\n    _inner = 5\n"
                      "print(_C, _K)\n")
     assert set(private_names(tree)) - read_names(tree) == {"_B", "_D", "_f"}
+
+
+def test_every_public_name_is_read_by_the_package():
+    # a public name that no package code reads is API that only tests call;
+    # a name the benchmark's tracer wraps, such as fstpso.step, is kept for it
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in MODULES if path.name != "__init__.py"}
+    read = set().union(*map(read_names, trees.values()))
+    traced = {f"{owner.__name__.rpartition('.')[2]}.{attr}"
+              for owner, attr, _ in traced_targets()}
+    unread = [f"{path.name}: {name} (line {line})"
+              for path, tree in trees.items()
+              for name, line in public_names(tree).items()
+              if name not in read and f"{path.stem}.{name}" not in traced]
+    assert not unread, f"public but read by no package module: {unread}"
+
+
+def test_unread_public_name_is_detected():
+    tree = ast.parse("A = 1\nB, _c = 2, 3\nD: int = 4\n__all__ = []\n"
+                     "def f():\n    return A\n"
+                     "class K:\n    inner = 5\n"
+                     "print(D, K)\n")
+    assert set(public_names(tree)) - read_names(tree) == {"B", "f"}
 
 
 def foreign_private_reads(tree: ast.Module) -> list[str]:
@@ -274,9 +310,10 @@ def test_surface_to_stdout_link_reaches_redirected_file(tmp_path):
         reference.read_text(), "surface grid written to /dev/fd/1\n")
 
 
-def test_tracer_targets_exist():
-    # smoothbench/traced.py wraps these names by attribute; a rename must
-    # fail here rather than leave a traced benchmark run broken
+@functools.cache
+def traced_targets() -> tuple:
+    """``(owner, attribute, span name)`` of each wrap smoothbench/traced.py
+    installs."""
     bench = Path(__file__).resolve().parent.parent / "smoothbench"
     sys.path.insert(0, str(bench))
     try:
@@ -291,8 +328,16 @@ def test_tracer_targets_exist():
 
     class StubTracer:
         def wrap(self, owner, attr, name, describe=None):
-            assert hasattr(owner, attr), f"{owner.__name__}.{attr} ({name}) is gone"
-            wrapped.append(name)
+            wrapped.append((owner, attr, name))
 
     traced.install(StubTracer())
-    assert "fstpso.step" in wrapped and "fstpso.init_swarm" in wrapped
+    return tuple(wrapped)
+
+
+def test_tracer_targets_exist():
+    # smoothbench/traced.py wraps these names by attribute; a rename must
+    # fail here rather than leave a traced benchmark run broken
+    for owner, attr, name in traced_targets():
+        assert hasattr(owner, attr), f"{owner.__name__}.{attr} ({name}) is gone"
+    names = {name for _, _, name in traced_targets()}
+    assert "fstpso.step" in names and "fstpso.init_swarm" in names

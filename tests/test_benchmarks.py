@@ -8,6 +8,10 @@ import pytest
 from smoothgp import benchmarks
 from smoothgp.benchmarks import BenchmarkFunction
 
+# Tolerance for |f(known_argmin) - known_minimum| on verified entries;
+# bounded by the 4-decimal argminima the reference table reports.
+OPTIMUM_TOL = 1e-3
+
 NONNEGATIVE = ("alpine", "griewank", "rastrigin", "rosenbrock", "xinsheyang2")
 
 
@@ -17,7 +21,7 @@ class TestKnownOptima:
             if not fn.verified:
                 continue
             residual = abs(fn.evaluate(fn.known_argmin) - fn.known_minimum)
-            assert residual <= benchmarks.OPTIMUM_TOL, (fn.name, fn.dimension, residual)
+            assert residual <= OPTIMUM_TOL, (fn.name, fn.dimension, residual)
 
     def test_rastrigin_origin_exact(self):
         assert benchmarks.get("rastrigin", 2).evaluate([0.0, 0.0]) == 0.0

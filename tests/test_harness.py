@@ -199,6 +199,13 @@ class TestCampaignValidation:
         with pytest.raises(ValueError):
             tiny_campaign(tmp_path, overrides={"nope": 1})
 
+    @pytest.mark.parametrize("key", ["mutation_rate", "initial_max_length"])
+    def test_fixed_gp_setting_is_not_an_override(self, tmp_path, key):
+        # the mutation rate and the first-generation length are constants
+        message = f"unknown config overrides: {[key]}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tiny_campaign(tmp_path, overrides=dict(TINY_OVERRIDES, **{key: 1}))
+
     def test_function_names_normalized(self, tmp_path):
         campaign = tiny_campaign(tmp_path, functions=("RaStRiGiN",))
         assert campaign.functions == ("rastrigin",)
@@ -337,7 +344,8 @@ class TestRunCampaign:
         with pytest.raises(ValueError, match=r"programs\.txt: run 2 .* 2 runs"):
             run_campaign(tiny_campaign(tmp_path, runs=2))
 
-    @pytest.mark.parametrize("damaged", [None, "1\t12", "1\ttwelve\tx0", "1\t\tx0"])
+    @pytest.mark.parametrize("damaged", [None, "1\t12", "1\ttwelve\tx0", "1\t\tx0",
+                                         "1\t12\t", "1\t12\tx0 x"])
     def test_lost_or_garbled_program_line_is_recomputed(self, tmp_path, damaged):
         campaign = tiny_campaign(tmp_path, runs=2)
         run_campaign(campaign)
@@ -425,6 +433,19 @@ class TestRunCampaign:
         failing = dict(TINY_OVERRIDES, population_size=1)
         with pytest.raises(ValueError, match="tournament_size must not exceed"):
             run_campaign(tiny_campaign(out, overrides=failing))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("population_size", 6.5), ("generations", 1.5), ("tournament_size", 2.5),
+        ("pso_iterations", 2.5), ("rmse_samples", 20.5), ("runs", 1.5),
+        ("workers", 1.5)])
+    def test_non_integer_count_fails_before_the_output_directory_exists(
+            self, tmp_path, field, value):
+        out = tmp_path / "results"
+        settings = ({"overrides": dict(TINY_OVERRIDES, **{field: value})}
+                    if field in TINY_OVERRIDES else {field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            run_campaign(tiny_campaign(out, **settings))
         assert not out.exists()
 
     def test_invalid_setting_fails_on_a_complete_directory(self, tmp_path):

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from smoothgp import stackgp
-from smoothgp.stackgp import (ADD, DIV, DUP, MUL, SUB, SWAP,
+from smoothgp.stackgp import (ADD, DUP, MUL, SWAP,
                               MAX_PROGRAM_LENGTH, Instruction, Op, Program,
-                              const, interpret_batch, mutate, parse,
-                              random_program, render, splice,
-                              two_point_crossover, var)
+                              interpret_batch, mutate, parse, random_program,
+                              render, splice, two_point_crossover)
 
 CHI2_99_DF8 = 20.09  # upper 1% quantile of chi-square with 8 dof
 
@@ -71,11 +70,11 @@ def reference_interpret(program, x):
 
 class TestInterpreterExamples:
     def test_var_plus_const(self):
-        p = Program(1, (var(0), const(5.0), ADD))
+        p = parse("x0 5.0 +", 1)
         assert interpret(p, [2.0]) == 7.0
 
     def test_protected_division_by_zero(self):
-        p = Program(1, (const(1.0), const(0.0), DIV))
+        p = parse("1.0 0.0 /", 1)
         assert interpret(p, [3.0]) == 1.0
 
     def test_underflow_noop_empty_stack(self):
@@ -84,26 +83,25 @@ class TestInterpreterExamples:
 
     def test_swap_then_subtract(self):
         # hand simulation: push 3, push 4, swap -> (4, 3), sub -> 4 - 3 = 1
-        p = Program(1, (const(3.0), const(4.0), SWAP, SUB))
+        p = parse("3.0 4.0 SWAP -", 1)
         value, _ = reference_interpret(p, [0.0])
         assert value == 1.0
         assert interpret(p, [0.0]) == 1.0
 
     def test_loose_terms_accumulate(self):
         # final stack (2.0, x0^2) sums to x0^2 + 2
-        p = Program(1, (const(2.0), var(0), DUP, MUL))
+        p = parse("2.0 x0 DUP *", 1)
         assert interpret(p, [3.0]) == 11.0
 
     def test_dimension_mismatch_rejected(self):
-        p = Program(2, (var(1),))
+        p = Program(2, (Instruction(Op.VAR, 1),))
         with pytest.raises(ValueError):
             interpret(p, [1.0])
         with pytest.raises(ValueError):
             interpret_batch(p, np.zeros((4, 3)))
 
     def test_overflow_replaced_by_zero(self):
-        huge = 1e308
-        p = Program(1, (const(huge), const(huge), MUL, const(1.0), ADD))
+        p = parse("1e308 1e308 * 1.0 +", 1)
         assert interpret(p, [0.0]) == 1.0
 
 
@@ -242,15 +240,15 @@ class TestRandomProgram:
 
 class TestCrossover:
     def test_splice_reference_example(self):
-        a = tuple(const(float(v)) for v in (1, 2, 3, 4))
-        b = tuple(var(i % 2) for i in range(2))
+        a = tuple(Instruction(Op.CONST, float(v)) for v in (1, 2, 3, 4))
+        b = tuple(Instruction(Op.VAR, i % 2) for i in range(2))
         child_a, child_b = splice(a, b, (1, 3), (0, 2))
         assert child_a == (a[0], b[0], b[1], a[3])
         assert child_b == (a[1], a[2])
 
     def test_empty_cuts_copy_parents(self):
-        a = tuple(const(float(v)) for v in (1, 2, 3))
-        b = (var(0), var(1))
+        a = tuple(Instruction(Op.CONST, float(v)) for v in (1, 2, 3))
+        b = (Instruction(Op.VAR, 0), Instruction(Op.VAR, 1))
         child_a, child_b = splice(a, b, (0, 0), (0, 0))
         assert child_a == a
         assert child_b == b
@@ -295,7 +293,7 @@ class TestMutate:
         # a slot holding a constant is replaced by an identical instruction
         # with probability zero (continuous payload), so every slot changes
         rng = np.random.default_rng(6)
-        p = Program(2, tuple(const(float(i)) for i in range(100)))
+        p = Program(2, tuple(Instruction(Op.CONST, float(i)) for i in range(100)))
         mutated = mutate(p, 1.0, (-10.0, 10.0), rng)
         assert all(x != y for x, y in zip(p.code, mutated.code))
 
@@ -306,7 +304,7 @@ class TestMutate:
         n = 10_000
         changed = 0
         for start in range(0, n, MAX_PROGRAM_LENGTH):
-            p = Program(2, tuple(const(float(start + i) / n)
+            p = Program(2, tuple(Instruction(Op.CONST, float(start + i) / n)
                                  for i in range(MAX_PROGRAM_LENGTH)))
             mutated = mutate(p, 0.2, ((2.0, 3.0),), rng)
             changed += sum(x != y for x, y in zip(p.code, mutated.code))
@@ -341,7 +339,8 @@ class TestSerialization:
             assert parse(render(p), 3) == p
 
     def test_uppercase_stack_ops(self):
-        p = Program(1, (var(0), DUP, MUL, var(0), SWAP))
+        x0 = Instruction(Op.VAR, 0)
+        p = Program(1, (x0, DUP, MUL, x0, SWAP))
         assert render(p) == "x0 DUP * x0 SWAP"
 
     def test_unknown_token_rejected(self):
@@ -352,7 +351,7 @@ class TestSerialization:
 class TestProgramInvariants:
     def test_var_index_validated(self):
         with pytest.raises(ValueError):
-            Program(2, (var(2),))
+            Program(2, (Instruction(Op.VAR, 2),))
 
     def test_const_payload_must_be_finite(self):
         with pytest.raises(ValueError):
@@ -362,4 +361,4 @@ class TestProgramInvariants:
         with pytest.raises(ValueError):
             Program(1, ())
         with pytest.raises(ValueError):
-            Program(1, (const(0.0),) * (MAX_PROGRAM_LENGTH + 1))
+            Program(1, (Instruction(Op.CONST, 0.0),) * (MAX_PROGRAM_LENGTH + 1))

@@ -116,8 +116,7 @@ class TestProgramStream:
 def _scored(program_text, fitness_value):
     return ScoredIndividual(
         program=stackgp.parse(program_text, 2), argmin=(0.0, 0.0),
-        fitness=fitness_value, f_at_argmin=fitness_value, pso_min_value=0.0,
-        rmse=0.0)
+        fitness=fitness_value, f_at_argmin=fitness_value, rmse=0.0)
 
 
 class TestTournament:
@@ -177,13 +176,20 @@ class TestEvolutionConfig:
         with pytest.raises(ValueError):
             EvolutionConfig(population_size=0)
         with pytest.raises(ValueError):
-            EvolutionConfig(mutation_rate=1.5)
-        with pytest.raises(ValueError):
             EvolutionConfig(tournament_size=1)
         with pytest.raises(ValueError):
             EvolutionConfig(population_size=4, tournament_size=5)
         with pytest.raises(ValueError):
             EvolutionConfig(rmse_samples=0)
+
+    def test_numpy_integer_counts_accepted(self):
+        config = EvolutionConfig(population_size=np.int64(6), generations=np.int32(2),
+                                 tournament_size=np.uint8(2), rmse_samples=np.int64(20),
+                                 pso_iterations=np.int16(10))
+        assert config == EvolutionConfig(population_size=6, generations=2,
+                                         tournament_size=2, rmse_samples=20,
+                                         pso_iterations=10)
+        assert {type(v) for v in vars(config).values()} == {int}
 
     def test_const_range_scales(self):
         fn = benchmarks.get("griewank", 2)
