@@ -16,7 +16,9 @@ Better/Same/Worse peaking at -1/0/+1; delta: Near/Mid/Far peaking at
 convex combinations of the rule consequents below. Rough corners of the
 table: a worsening particle far from the swarm best explores (high inertia,
 high social pull, full velocity cap), an improving particle near the best
-exploits (low inertia, high cognitive pull, tight velocity cap).
+exploits (low inertia, high cognitive pull, tight velocity cap). The
+settings are outputs of the iteration that derives them, so the swarm state
+does not keep them.
 
 The bounds and their edge lengths must be finite. Velocity limits derive
 from the edge lengths: ``vmax = vmax_scale * (hi - lo)`` and
@@ -75,8 +77,8 @@ _VMIN_SCALE = (
     (0.10, 0.20, 0.30),
 )
 
-# The tables stacked as one (5, 3, 3) array, in the column order of
-# fuzzy_settings.
+# The tables stacked as one (5, 3, 3) array, in the column order of the
+# settings that _rule_base infers.
 _TABLES = np.array([_INERTIA, _COGNITIVE, _SOCIAL, _VMAX_SCALE, _VMIN_SCALE])
 
 VMIN_BASE_FRACTION = 0.01
@@ -130,31 +132,10 @@ def _rule_base(size: int):
     return signals, settings, infer
 
 
-def fuzzy_settings(phi: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Zero-order Sugeno inference per particle.
-
-    ``phi`` in [-1, 1] and ``delta`` in [0, 1] are (P,) arrays. Returns the
-    firing-strength-weighted consequents as a (P, 5) array with columns
-    inertia, cognitive, social, vmax scale and vmin scale.
-    """
-    signals, settings, infer = _rule_base(phi.shape[0])
-    signals[0] = phi
-    np.subtract(2.0 * delta, 1.0, out=signals[1])
-    infer()
-    return settings
-
-
-# settings of a fresh swarm: no performance change, mid distance
-_NEUTRAL = tuple(fuzzy_settings(np.array([0.0]), np.array([0.5]))[0].tolist())
-# inertia, cognitive and social factors of a fresh swarm as a (3, 1) column,
-# and its vmax and vmin fractions of the edge lengths as (2, 1, 1)
-_NEUTRAL_FACTORS = np.array(_NEUTRAL[:3])[:, None]
-_NEUTRAL_LIMITS = np.array([_NEUTRAL[3], _NEUTRAL[4] * VMIN_BASE_FRACTION])[:, None, None]
-
-
 @dataclass
 class SwarmState:
-    """Struct-of-arrays swarm; mutated in place by step()."""
+    """Struct-of-arrays swarm, mutated in place by step(): what the next
+    iteration reads, without the settings each iteration derives anew."""
 
     positions: np.ndarray
     velocities: np.ndarray
@@ -164,13 +145,7 @@ class SwarmState:
     best_values: np.ndarray
     global_best_position: np.ndarray
     global_best_value: float
-    inertia: np.ndarray
-    cognitive: np.ndarray
-    social: np.ndarray
-    vmax: np.ndarray
-    vmin: np.ndarray
-    iteration: int = 0
-    evaluations_used: int = 0
+    evaluations_used: int
 
 
 # constants of a bounds box, derived once per distinct bounds by _box
@@ -209,10 +184,6 @@ def init_swarm(objective, bounds, rng) -> SwarmState:
     positions = lo + rng.random((size, dim)) * span
     values = np.asarray(objective(positions), dtype=float)
     gi = int(values.argmin())
-    neutral = np.empty((3, size))
-    neutral[...] = _NEUTRAL_FACTORS
-    limits = np.empty((2, size, dim))
-    np.multiply(_NEUTRAL_LIMITS, span, limits)
     return SwarmState(
         positions=positions,
         velocities=np.zeros((size, dim)),
@@ -222,11 +193,6 @@ def init_swarm(objective, bounds, rng) -> SwarmState:
         best_values=values.copy(),
         global_best_position=positions[gi].copy(),
         global_best_value=float(values[gi]),
-        inertia=neutral[0],
-        cognitive=neutral[1],
-        social=neutral[2],
-        vmax=limits[0],
-        vmin=limits[1],
         evaluations_used=size,
     )
 
@@ -245,7 +211,7 @@ def _workspace(size: int, dim: int) -> tuple:
     draws = np.ones((3, size, dim))
     terms = np.empty((3, size, dim))
     improved = np.empty(size, dtype=bool)
-    return (*signals, settings, infer, settings[:, 3:], limit_scales,
+    return (*signals, infer, settings[:, 3:], limit_scales,
             limit_scales.T[:, :, None], limits, *limits,
             settings[:, :3].T[:, :, None], draws, draws[1:],
             np.empty((3, size, dim)), terms, *terms, np.empty((size, dim)),
@@ -287,7 +253,7 @@ def _advance(state: SwarmState, objective, box: _Box, rng, iterations: int) -> N
     except IndexError:
         workspace = _workspace(size, dim)
     # unit_delta holds 2 * delta - 1
-    (phi, unit_delta, settings, infer, limit_settings, limit_scales,
+    (phi, unit_delta, infer, limit_settings, limit_scales,
      scale_columns, limits, vmax, vmin, coefficients, draws, random_draws,
      factors, terms, velocity, to_best, to_global_best, offset, speed, moved,
      walled, improved, improved_rows) = workspace
@@ -362,9 +328,6 @@ def _advance(state: SwarmState, objective, box: _Box, rng, iterations: int) -> N
     state.best_positions, state.best_values = best_positions, best_values
     state.global_best_position = global_best_position
     state.global_best_value = global_best_value
-    state.inertia, state.cognitive, state.social = settings[:, :3].T.copy()
-    state.vmax, state.vmin = limits.copy()
-    state.iteration += iterations
     state.evaluations_used += iterations * size
     free.append(workspace)
 

@@ -95,7 +95,8 @@ class Campaign:
         known = set(benchmarks.names())
         normalized = tuple(name.strip().lower() for name in self.functions)
         object.__setattr__(self, "functions", normalized)
-        object.__setattr__(self, "dimensions", tuple(int(d) for d in self.dimensions))
+        object.__setattr__(self, "dimensions",
+                           tuple(as_count(d, "dimension") for d in self.dimensions))
         if not normalized:
             raise ValueError("campaign needs at least one function")
         for name in normalized:

@@ -76,6 +76,7 @@ class EvolutionConfig:
             if getattr(self, name) is not None:  # rmse_samples may be unset
                 object.__setattr__(self, name,
                                    as_count(getattr(self, name), name, minimum))
+        object.__setattr__(self, "seed", as_count(self.seed, "seed", 0))
         if self.tournament_size > self.population_size:
             raise ValueError("tournament_size must not exceed population_size")
 

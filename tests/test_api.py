@@ -161,6 +161,58 @@ def test_unread_public_name_is_detected():
     assert set(public_names(tree)) - read_names(tree) == {"B", "f"}
 
 
+def dataclass_fields(tree: ast.Module) -> list[str]:
+    """``Class.field`` of each field of the module's ``@dataclass`` classes."""
+    return [f"{node.name}.{item.target.id}" for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(ast.unparse(d.func if isinstance(d, ast.Call) else d)
+                    in ("dataclass", "dataclasses.dataclass")
+                    for d in node.decorator_list)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
+def attribute_reads(tree: ast.Module) -> set[str]:
+    """Attribute names the module reads, as ``.name`` or ``getattr(x, "name")``."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            reads.add(node.args[1].value)
+    return reads
+
+
+def unread_fields(trees) -> list[str]:
+    read = set().union(*map(attribute_reads, trees))
+    return [field for tree in trees for field in dataclass_fields(tree)
+            if field.split(".")[1] not in read]
+
+
+# the evaluation count of the public evolve's result, which the planned trace
+# CSV and per-run memoization (ROADMAP items 1 and 3) are to read
+UNREAD_FIELDS_KEPT = {"RunRecord.total_benchmark_evaluations"}
+
+
+def test_every_dataclass_field_is_read_by_the_package():
+    # a field that no package code reads is state that only tests look at
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    unread = set(unread_fields(trees)) - UNREAD_FIELDS_KEPT
+    assert not unread, f"dataclass fields read by no package module: {sorted(unread)}"
+
+
+def test_unread_dataclass_field_is_detected():
+    tree = ast.parse("import dataclasses\nfrom dataclasses import dataclass\n"
+                     "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+                     "    z: int\n    w: int\n"
+                     "@dataclasses.dataclass\nclass B:\n    v: float\n"
+                     "class C:\n    u: int\n"
+                     "def f(a, b, c):\n    a.y = 1\n    return a.x, getattr(b, 'w'), z\n")
+    assert unread_fields([tree]) == ["A.y", "A.z", "B.v"]
+
+
 def foreign_private_reads(tree: ast.Module) -> list[str]:
     """Private names of other package modules that the module reads: ``m._x``
     where ``from . import m`` binds ``m``, and ``from .m import _x``."""

@@ -8,12 +8,22 @@ import numpy as np
 import pytest
 
 from smoothgp import fstpso, stackgp
-from smoothgp.fstpso import (SwarmState, fuzzy_settings, init_swarm, optimize,
-                             step, swarm_size)
+from smoothgp.fstpso import SwarmState, init_swarm, optimize, step, swarm_size
 
 SPHERE_BOUNDS = np.array([[-5.0, 5.0], [-5.0, 5.0]])
 TABLES = (fstpso._INERTIA, fstpso._COGNITIVE, fstpso._SOCIAL,
           fstpso._VMAX_SCALE, fstpso._VMIN_SCALE)
+
+
+def fuzzy_settings(phi, delta):
+    """The rule base's settings at (P,) ``phi`` in [-1, 1] and ``delta`` in
+    [0, 1], as a (P, 5) array with columns inertia, cognitive, social, vmax
+    scale and vmin scale."""
+    signals, settings, infer = fstpso._rule_base(len(phi))
+    signals[0] = phi
+    signals[1] = 2.0 * delta - 1.0
+    infer()
+    return settings.copy()
 
 
 def reference_fuzzy_update(phi, delta):
@@ -37,13 +47,10 @@ def reference_fuzzy_update(phi, delta):
     return tuple(v / den for v in num)
 
 
-def reference_step(state, objective, bounds, rng):
-    """One swarm iteration as a plain sequence of array expressions, the
-    oracle for the fused loop in ``fstpso``."""
-    rng = np.random.default_rng(rng)
-    lo, hi, span, diagonal = fstpso._box(bounds)
-    size, dim = state.positions.shape
-
+def reference_settings(state, bounds):
+    """The (P, 5) settings and the (P, D) vmin and vmax that the next
+    iteration from ``state`` derives."""
+    _, _, span, diagonal = fstpso._box(bounds)
     phi = (state.values - state.prev_values) / (np.abs(state.prev_values) + 1.0)
     phi = np.minimum(np.maximum(phi, -1.0), 1.0)
     phi = np.where(np.isnan(phi), 0.0, phi)
@@ -52,12 +59,21 @@ def reference_step(state, objective, bounds, rng):
         dist = np.sqrt(np.add.reduce(offset * offset, axis=1))
         delta = np.minimum(dist / diagonal, 1.0)
     else:
-        delta = np.zeros(size)
-
+        delta = np.zeros(len(state.positions))
     settings = fuzzy_settings(phi, delta)
-    inertia, cognitive, social = settings[:, 0], settings[:, 1], settings[:, 2]
     vmax = settings[:, 3, None] * span
     vmin = settings[:, 4, None] * fstpso.VMIN_BASE_FRACTION * span
+    return settings, vmin, vmax
+
+
+def reference_step(state, objective, bounds, rng):
+    """One swarm iteration as a plain sequence of array expressions, the
+    oracle for the fused loop in ``fstpso``."""
+    rng = np.random.default_rng(rng)
+    lo, hi, _, _ = fstpso._box(bounds)
+    size, dim = state.positions.shape
+    settings, vmin, vmax = reference_settings(state, bounds)
+    inertia, cognitive, social = settings[:, 0], settings[:, 1], settings[:, 2]
 
     # one draw of both factors keeps the stream of two consecutive draws
     r_cog, r_soc = rng.random((2, size, dim))
@@ -84,9 +100,6 @@ def reference_step(state, objective, bounds, rng):
     if state.best_values[gi] < state.global_best_value:
         state.global_best_value = float(state.best_values[gi])
         state.global_best_position = state.best_positions[gi].copy()
-    state.inertia, state.cognitive, state.social = inertia, cognitive, social
-    state.vmax, state.vmin = vmax, vmin
-    state.iteration += 1
     state.evaluations_used += size
     return state
 
@@ -171,8 +184,6 @@ class TestStep:
         size = swarm_size(2)
         point = np.full((size, 2), 1.5)
         values = sphere(point)
-        inertia, cognitive, social, vmax_scale, vmin_scale = settings_at(0.0, 0.5)
-        span = SPHERE_BOUNDS[:, 1] - SPHERE_BOUNDS[:, 0]
         return SwarmState(
             positions=point.copy(),
             velocities=np.zeros((size, 2)),
@@ -182,11 +193,6 @@ class TestStep:
             best_values=values.copy(),
             global_best_position=point[0].copy(),
             global_best_value=float(values[0]),
-            inertia=np.full(size, inertia),
-            cognitive=np.full(size, cognitive),
-            social=np.full(size, social),
-            vmax=np.tile(vmax_scale * span, (size, 1)),
-            vmin=np.tile(vmin_scale * 0.01 * span, (size, 1)),
             evaluations_used=size,
         )
 
@@ -218,12 +224,14 @@ class TestStep:
         rng = np.random.default_rng(5)
         state = init_swarm(sphere, SPHERE_BOUNDS, rng)
         for _ in range(30):
+            # the limits the step derives from the state it starts from
+            _, vmin, vmax = reference_settings(state, SPHERE_BOUNDS)
             step(state, sphere, SPHERE_BOUNDS, rng)
             assert np.all(state.positions >= -5.0)
             assert np.all(state.positions <= 5.0)
             speed = np.abs(state.velocities)
-            ok = (speed == 0.0) | ((speed >= state.vmin - 1e-12)
-                                   & (speed <= state.vmax + 1e-12))
+            ok = (speed == 0.0) | ((speed >= vmin - 1e-12)
+                                   & (speed <= vmax + 1e-12))
             assert np.all(ok)
 
     def test_step_deterministic(self):
@@ -313,8 +321,7 @@ class TestOptimize:
 
 STATE_FIELDS = ("positions", "velocities", "values", "prev_values",
                 "best_positions", "best_values", "global_best_position",
-                "global_best_value", "inertia", "cognitive", "social", "vmax",
-                "vmin", "iteration", "evaluations_used")
+                "global_best_value", "evaluations_used")
 
 
 def oracle_case(seed):

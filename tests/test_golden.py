@@ -63,20 +63,19 @@ GRID_SHA256 = "a86cfd2fedcdaa1bd7d524971223c7c38889526c420c9a9f0f97ebb393291b26"
 SWARM_STATES = {
     "rastrigin-box": (
         "x0 x0 * x1 3.5 * - x1 DUP * +", ((-5.12, 5.12), (-5.12, 5.12)), 0,
-        False, "ac2dd79f61b02db41c7d8598f862c5c8c0dc6fd2f05f1df48b22da8c8b16662b"),
+        False, "099a7040e67f64487cc9e9f1ae0b0dde2db115cac5674f349a77fb288749fac3"),
     "nan-half": (
         "x0 x1 * x2 / 1.5 x0 - DUP * +",
         ((-600.0, 600.0), (-30.0, 10.0), (0.0, 3.14)), 1,
-        True, "0620e409a89bdcfe59ae33ef04464709e30ca6bb35c8696b58127dd964399976"),
+        True, "9248004b283ec6f894add79d9c1c1642a65e6010f37cfbd216eba6645666f5d9"),
     "schwefel-box": (
         "x0 SWAP 418.9829 x1 * - x0 DUP * 0.001 * +",
         ((-500.0, 500.0), (-500.0, 500.0)), 2,
-        False, "7152b040180ba32d71679f9f5053379f33e9f6bf6e97b4dcef2e3be1c57bcc56"),
+        False, "7fe50922195cf99415e518b0329eb1c63240a1aff433c3ce2fb82d8ba0a4d5c3"),
 }
 STATE_FIELDS = ("positions", "velocities", "values", "prev_values",
                 "best_positions", "best_values", "global_best_position",
-                "global_best_value", "inertia", "cognitive", "social", "vmax",
-                "vmin", "iteration", "evaluations_used")
+                "global_best_value", "evaluations_used")
 
 
 @pytest.mark.parametrize("case", sorted(SWARM_STATES))

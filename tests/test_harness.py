@@ -195,6 +195,15 @@ class TestCampaignValidation:
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             tiny_campaign(tmp_path, dimensions=(5,))
 
+    def test_non_integer_dimension_rejected(self, tmp_path):
+        # int() would truncate 2.7 to the supported D=2
+        with pytest.raises(ValueError, match=r"^dimension must be an integer, got 2\.7$"):
+            tiny_campaign(tmp_path, dimensions=(2.7,))
+
+    def test_numpy_integer_dimension_accepted(self, tmp_path):
+        campaign = tiny_campaign(tmp_path, dimensions=(np.int64(3),))
+        assert campaign.dimensions == (3,) and type(campaign.dimensions[0]) is int
+
     def test_unknown_override_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             tiny_campaign(tmp_path, overrides={"nope": 1})
@@ -216,7 +225,7 @@ class TestCampaignValidation:
 
     def test_dimension_listed_twice_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="dimension 2 is listed more"):
-            tiny_campaign(tmp_path, dimensions=(2, 3, "2"))
+            tiny_campaign(tmp_path, dimensions=(2, 3, np.int64(2)))
 
 
 class TestRunCampaign:
@@ -446,6 +455,15 @@ class TestRunCampaign:
                     if field in TINY_OVERRIDES else {field: value})
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             run_campaign(tiny_campaign(out, **settings))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed, message", [(0.5, "^seed must be an integer"),
+                                               (-1, "^seed must be >= 0$")])
+    def test_invalid_seed_fails_before_the_output_directory_exists(
+            self, tmp_path, seed, message):
+        out = tmp_path / "results"
+        with pytest.raises(ValueError, match=message):
+            run_campaign(tiny_campaign(out, base_seed=seed))
         assert not out.exists()
 
     def test_invalid_setting_fails_on_a_complete_directory(self, tmp_path):
