@@ -195,6 +195,6 @@ def get(name: str, dimension: int) -> BenchmarkFunction:
     )
 
 
-def catalog(dimensions=CATALOG_DIMENSIONS) -> list[BenchmarkFunction]:
-    """All nine benchmarks instantiated at each of the given dimensions."""
-    return [get(name, d) for name in names() for d in dimensions]
+def catalog() -> list[BenchmarkFunction]:
+    """All nine benchmarks instantiated at each catalog dimension."""
+    return [get(name, d) for name in names() for d in CATALOG_DIMENSIONS]

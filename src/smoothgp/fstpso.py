@@ -101,8 +101,9 @@ def _rule_base(size: int):
 
     Returns ``(signals, settings, infer)``. ``infer()`` reads the (2, P)
     ``signals`` array, ``phi`` then ``2 * delta - 1``, and writes the (P, 5)
-    ``settings``. Both partitions are then Better/Near ``max(0, -s)``,
-    Same/Mid ``1 - |s|`` and Worse/Far ``max(0, s)``. The firing strengths
+    ``settings``. Both partitions are then Worse/Far ``max(0, s)``,
+    Better/Near ``max(0, s) - s``, which is ``max(0, -s)`` up to the sign of
+    a zero that no sum sees, and Same/Mid ``1 - |s|``. The firing strengths
     go into a C-ordered (P, 3, 3) buffer, which fixes the summation order of
     their total and of ``einsum``.
     """
@@ -114,16 +115,15 @@ def _rule_base(size: int):
     total = np.empty(size)
     total_column = total[:, None]
     settings = np.empty((size, 5))
-    negative, maximum, absolute, subtract = np.negative, np.maximum, np.abs, np.subtract
+    maximum, absolute, subtract = np.maximum, np.abs, np.subtract
     multiply, divide, add_reduce, einsum = np.multiply, np.divide, np.add.reduce, np.einsum
     zero, one = _ZERO, _ONE
 
     def infer() -> None:
-        negative(signals, near)
-        maximum(zero, near, out=near)
+        maximum(zero, signals, out=far)
+        subtract(far, signals, near)
         absolute(signals, mid)
         subtract(one, mid, mid)
-        maximum(zero, signals, out=far)
         multiply(phi_mu, delta_mu, weights)
         add_reduce(weights, (1, 2), None, total)
         einsum("pij,kij->pk", weights, _TABLES, out=settings)
@@ -211,7 +211,7 @@ def _workspace(size: int, dim: int) -> tuple:
     draws = np.ones((3, size, dim))
     terms = np.empty((3, size, dim))
     improved = np.empty(size, dtype=bool)
-    return (*signals, infer, settings[:, 3:], limit_scales,
+    return (signals, *signals, infer, settings[:, 3:], limit_scales,
             limit_scales.T[:, :, None], limits, *limits,
             settings[:, :3].T[:, :, None], draws, draws[1:],
             np.empty((3, size, dim)), terms, *terms, np.empty((size, dim)),
@@ -253,7 +253,7 @@ def _advance(state: SwarmState, objective, box: _Box, rng, iterations: int) -> N
     except IndexError:
         workspace = _workspace(size, dim)
     # unit_delta holds 2 * delta - 1
-    (phi, unit_delta, infer, limit_settings, limit_scales,
+    (signals, phi, unit_delta, infer, limit_settings, limit_scales,
      scale_columns, limits, vmax, vmin, coefficients, draws, random_draws,
      factors, terms, velocity, to_best, to_global_best, offset, speed, moved,
      walled, improved, improved_rows) = workspace
@@ -273,10 +273,6 @@ def _advance(state: SwarmState, objective, box: _Box, rng, iterations: int) -> N
         add(unit_delta, one, unit_delta)
         divide(phi, unit_delta, phi)
         maximum(phi, minus_one, out=phi)
-        minimum(phi, one, out=phi)
-        # after the clamp phi is finite unless it holds a NaN
-        if math.isnan(phi.dot(phi)):
-            phi[np.isnan(phi)] = 0.0
         # (x - gbest)^2 == (gbest - x)^2 exactly, so one difference serves
         # the distance and the social term
         subtract(global_best_position, positions, to_global_best)
@@ -285,11 +281,16 @@ def _advance(state: SwarmState, objective, box: _Box, rng, iterations: int) -> N
             add_reduce(offset, 1, None, unit_delta)
             sqrt(unit_delta, unit_delta)
             divide(unit_delta, box_diagonal, unit_delta)
-            minimum(unit_delta, one, out=unit_delta)
             multiply(unit_delta, two, unit_delta)
             subtract(unit_delta, one, unit_delta)
         else:
             unit_delta.fill(-1.0)
+        # one clamp for both signals: min(d, 1) * 2 - 1 == min(2d - 1, 1)
+        # exactly for d >= 0
+        minimum(signals, one, out=signals)
+        # after the clamp phi is finite unless it holds a NaN
+        if math.isnan(phi.dot(phi)):
+            phi[np.isnan(phi)] = 0.0
         infer()
         multiply(limit_settings, _LIMIT_FRACTIONS, limit_scales)
         multiply(scale_columns, span, limits)

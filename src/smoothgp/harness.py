@@ -4,10 +4,10 @@ A campaign executes `runs` independent evolutions per (function, dimension)
 pair with seeds ``base_seed + run_index`` and writes, per pair, a CSV of
 per-run results plus a text artifact with the winning programs, and one
 ``summary.csv`` row per pair. Runs may execute concurrently; a worker pool
-takes them longest first, by population times swarm size, so short runs
-fill the pool's tail. Outputs are ordered by run index before writing, so
-bytes never depend on scheduling, and after a failure the first failing
-run in campaign order is re-raised.
+takes them longest first, by population, so short runs fill the pool's
+tail. Outputs are ordered by run index before writing, so bytes never
+depend on scheduling, and after a failure the first failing run in
+campaign order is re-raised.
 Rerunning a partially completed campaign keeps the rows already on disk
 byte for byte: each pair's kept and computed runs share one map, from
 which both pair files and the summary are written. Every file is written
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import benchmarks, fstpso, stackgp
+from . import benchmarks, stackgp
 from .benchmarks import BenchmarkFunction
 from .stackgp import Program
 from .surrogate import EvolutionConfig, as_count, evolve
@@ -137,12 +137,6 @@ def _run_task(task) -> tuple[RunRow, str]:
     return row, f"{run}\t{config.seed}\t{stackgp.render(best.program)}"
 
 
-def _expected_cost(task) -> int:
-    """A run's relative cost, population times swarm size, for dispatch order."""
-    _, dimension, _, config = task
-    return config.population_size * fstpso.swarm_size(dimension)
-
-
 def _execute(tasks, workers: int, done: dict) -> None:
     # fills `done` in place so completed runs survive a failing sibling
     if workers <= 1 or len(tasks) <= 1:
@@ -152,9 +146,12 @@ def _execute(tasks, workers: int, done: dict) -> None:
     # imported here: a one-worker run or a bare CLI import never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        # the longest runs first, so that no worker idles while one finishes
+        # the longest runs first, so that no worker idles while one finishes:
+        # population sets the number of scorings, the swarm size moves a
+        # scoring's cost by a few percent; ties keep task order
         futures = {task[:3]: pool.submit(_run_task, task)
-                   for task in sorted(tasks, key=_expected_cost, reverse=True)}
+                   for task in sorted(tasks, key=lambda task: task[3].population_size,
+                                      reverse=True)}
         keys = {future: key for key, future in futures.items()}
         for future in as_completed(keys):
             if future.exception() is None:
@@ -353,8 +350,7 @@ def export_surface_grid(fn: BenchmarkFunction, program: Program,
     """
     if fn.dimension != 2 or program.dimension != 2:
         raise ValueError("surface export requires dimension 2")
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+    resolution = as_count(resolution, "resolution")
     axis = np.linspace(fn.lower, fn.upper, resolution)
     labels = [_format(x1) for x1 in axis.tolist()]
     block = np.empty((resolution, 2))

@@ -24,8 +24,8 @@ Execution semantics (fixed for reproducibility):
 Programs are immutable values and the interpreter is pure and reentrant;
 the genetic operators draw all randomness from a caller-owned generator.
 A program is its dimension and code alone: the constant ranges its
-payloads are drawn from are a setting of the run, passed to
-``random_program`` and ``mutate``.
+payloads are drawn from are a setting of the run, a sequence of
+``(lo, hi)`` intervals passed to ``random_program`` and ``mutate``.
 
 ``interpret_batch`` compiles each program once, on its first call, and
 keeps the result on the program. The static pass drops the instructions
@@ -85,24 +85,23 @@ _VAR_TOKEN = re.compile(r"x(\d+)")
 
 
 def _as_ranges(const_range) -> tuple[tuple[float, float], ...]:
-    """Normalize a constant range spec to a tuple of (lo, hi) intervals.
+    """A constant range, a non-empty sequence of ``(lo, hi)`` intervals, as
+    a tuple of float pairs.
 
-    Accepts a single ``(lo, hi)`` pair or a sequence of pairs; constants are
-    drawn by first picking an interval uniformly, then a value uniformly
-    inside it.
+    Constants are drawn by first picking an interval uniformly, then a value
+    uniformly inside it.
     """
-    items = tuple(const_range)
-    if len(items) == 2 and all(isinstance(v, (int, float)) for v in items):
-        items = (items,)
-    ranges = []
-    for pair in items:
-        lo, hi = float(pair[0]), float(pair[1])
+    try:
+        ranges = tuple((float(lo), float(hi)) for lo, hi in const_range)
+    except (TypeError, ValueError):
+        ranges = ()
+    if not ranges:
+        raise ValueError("const_range must be a non-empty sequence of (lo, hi) "
+                         f"intervals, got {const_range!r}")
+    for lo, hi in ranges:
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
             raise ValueError(f"invalid constant interval ({lo}, {hi})")
-        ranges.append((lo, hi))
-    if not ranges:
-        raise ValueError("const_range must contain at least one interval")
-    return tuple(ranges)
+    return ranges
 
 
 @dataclass(frozen=True)

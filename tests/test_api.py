@@ -1,9 +1,10 @@
 """Package surface checks: no unused imports, every exported name resolves
 and every exported or private module-level name is read by the package
 itself, every public module-level name is read by the package or wrapped by
-the benchmark's tracer, no module reads another package module's private
-name, the CLI run as a process writes where its --out points and keeps
-OpenSSL out, and every name the benchmark's tracer wraps exists."""
+the benchmark's tracer, every default of an exported function is passed by
+some package call, no module reads another package module's private name,
+the CLI run as a process writes where its --out points and keeps OpenSSL
+out, and every name the benchmark's tracer wraps exists."""
 
 import ast
 import functools
@@ -211,6 +212,61 @@ def test_unread_dataclass_field_is_detected():
                      "class C:\n    u: int\n"
                      "def f(a, b, c):\n    a.y = 1\n    return a.x, getattr(b, 'w'), z\n")
     assert unread_fields([tree]) == ["A.y", "A.z", "B.v"]
+
+
+def defaulted_parameters(tree: ast.Module, names) -> dict[str, dict[str, int | None]]:
+    """The defaulted parameters of the module-level functions in ``names``,
+    each with its position, or None when it is keyword-only."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            params = {arg.arg: i for i, arg in enumerate(positional) if i >= first}
+            params.update({arg.arg: None for arg, default
+                           in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                           if default is not None})
+            found[node.name] = params
+    return found
+
+
+def unpassed_defaults(trees, names) -> list[str]:
+    """``function(parameter)`` for each defaulted parameter of a function in
+    ``names`` that no call in ``trees`` passes, by keyword or by position.
+    A call is matched by the called name alone, as ``f(...)`` or ``m.f(...)``;
+    ``*args`` passes every positional parameter, ``**kwargs`` every one."""
+    params = {}
+    for tree in trees:
+        params.update(defaulted_parameters(tree, names))
+    passed = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if not isinstance(node, ast.Call):
+            continue
+        called = getattr(node.func, "id", getattr(node.func, "attr", None))
+        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+        keywords = {keyword.arg for keyword in node.keywords}
+        for param, position in params.get(called, {}).items():
+            if (param in keywords or None in keywords or position is not None
+                    and (starred or position < len(node.args))):
+                passed.add((called, param))
+    return [f"{name}({param})" for name, found in params.items()
+            for param in found if (name, param) not in passed]
+
+
+def test_every_exported_default_is_passed_by_the_package():
+    # a default that no package call overrides is a setting only tests use
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    unpassed = unpassed_defaults(trees, set(smoothgp.__all__))
+    assert not unpassed, f"defaults no package call passes: {unpassed}"
+
+
+def test_unpassed_default_is_detected():
+    tree = ast.parse("def f(a, b=1, c=2, *, d=3, e=4, g):\n    pass\n"
+                     "def h(x=0):\n    pass\n"
+                     "def k(y=0, z=0):\n    pass\n"
+                     "def unlisted(w=0):\n    pass\n"
+                     "f(0, 1, d=2, g=3)\nm.k(*args)\nm.h\n")
+    assert unpassed_defaults([tree], {"f", "h", "k"}) == ["f(c)", "f(e)", "h(x)"]
 
 
 def foreign_private_reads(tree: ast.Module) -> list[str]:

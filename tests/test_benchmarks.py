@@ -63,7 +63,8 @@ class TestKnownOptima:
 class TestEvaluate:
     def test_pure_bit_identical(self):
         rng = np.random.default_rng(7)
-        for fn in benchmarks.catalog(dimensions=(2, 4)):
+        for fn in (benchmarks.get(name, d) for name in benchmarks.names()
+                   for d in (2, 4)):
             x = rng.uniform(fn.lower, fn.upper, size=fn.dimension)
             assert fn.evaluate(x) == fn.evaluate(x)
 
@@ -92,7 +93,8 @@ class TestEvaluate:
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(11)
-        for fn in benchmarks.catalog(dimensions=(3,)):
+        for fn in (benchmarks.get(name, d) for name in benchmarks.names()
+                   for d in (3,)):
             pts = rng.uniform(fn.lower, fn.upper, size=(20, 3))
             batch = fn.evaluate_batch(pts)
             for row, value in zip(pts, batch):

@@ -331,7 +331,7 @@ def oracle_case(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 5))
     program = stackgp.random_program(dim, int(rng.integers(2, 12)),
-                                     (-5.0, 5.0), rng)
+                                     ((-5.0, 5.0),), rng)
     lo = rng.uniform(-600.0, 0.0, dim)
     hi = lo + rng.uniform(0.0, 900.0, dim)
     kind = seed % 5

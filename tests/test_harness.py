@@ -110,6 +110,16 @@ class TestSurfaceGrid:
             cells = line.split(",")
             assert abs(float(cells[2]) - float(cells[3])) <= 1e-9
 
+    @pytest.mark.parametrize("resolution, message", [
+        (2.5, "^resolution must be an integer"), ("8", "^resolution must be an integer"),
+        (0, "^resolution must be >= 1")])
+    def test_resolution_must_be_a_count(self, tmp_path, resolution, message):
+        path = tmp_path / "grid.csv"
+        with pytest.raises(ValueError, match=message):
+            export_surface_grid(benchmarks.get("rastrigin", 2),
+                                stackgp.parse("0.0", 2), resolution, path)
+        assert not path.exists()
+
     def test_wrong_dimension_rejected(self, tmp_path):
         fn = benchmarks.get("rastrigin", 3)
         with pytest.raises(ValueError):
@@ -410,7 +420,7 @@ class TestRunCampaign:
                                                                 population_size=2))),
                  ("rastrigin", 2, 1, harness.config_for(2, 12, TINY_OVERRIDES)),
                  ("last", 2, 2, harness.config_for(2, 13, {}))]
-        assert [harness._expected_cost(t) for t in tasks] == [24, 72, 600]
+        assert [t[3].population_size for t in tasks] == [2, 6, 50]
         done = {}
         with pytest.raises(ValueError, match="unknown benchmark function 'first'"):
             harness._execute(tasks, 2, done)
@@ -426,15 +436,16 @@ class TestRunCampaign:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness, "_run_task", lambda task: task[:3])
-        # costs 600, 650, 1400, 2400 and 650: population times swarm size,
-        # with the default population where the override is None
+        # populations 50, 50, 100, 200 and 50, with the default population
+        # where the override is None; the three of 50 keep task order
         tasks = [("alpine", d, 0, harness.config_for(d, 0, {})) for d in (2, 3, 4)]
         tasks.append(("alpine", 2, 1, harness.config_for(2, 1, {"population_size": 200})))
         tasks.append(("alpine", 3, 1, harness.config_for(3, 1, {"population_size": None})))
+        assert [t[3].population_size for t in tasks] == [50, 50, 100, 200, 50]
         done = {}
         harness._execute(tasks, 2, done)
-        assert submitted == [("alpine", 2, 1), ("alpine", 4, 0), ("alpine", 3, 0),
-                             ("alpine", 3, 1), ("alpine", 2, 0)]
+        assert submitted == [("alpine", 2, 1), ("alpine", 4, 0), ("alpine", 2, 0),
+                             ("alpine", 3, 0), ("alpine", 3, 1)]
         assert done == {task[:3]: task[:3] for task in tasks}
 
     def test_invalid_setting_fails_before_the_output_directory_exists(self, tmp_path):

@@ -111,7 +111,7 @@ class TestInterpreterProperties:
         cases = []
         for _ in range(300):
             dim = int(rng.integers(1, 5))
-            cases.append((random_program(dim, 30, (-10.0, 10.0), rng),
+            cases.append((random_program(dim, 30, ((-10.0, 10.0),), rng),
                           rng.uniform(-50.0, 50.0, size=dim)))
         # edge programs: constant-only, an empty final stack, an overflow
         for text in ("3.0 4.0 * 2.0 - 0.0 /", "+ SWAP DUP *", "1e300 DUP *",
@@ -150,14 +150,14 @@ class TestInterpreterProperties:
 
     def test_pure(self):
         rng = np.random.default_rng(5)
-        p = random_program(3, 40, (-5.0, 5.0), rng)
+        p = random_program(3, 40, ((-5.0, 5.0),), rng)
         x = rng.uniform(-5.0, 5.0, size=3)
         assert interpret(p, x) == interpret(p, x)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
-            p = random_program(2, 25, (-10.0, 10.0), rng)
+            p = random_program(2, 25, ((-10.0, 10.0),), rng)
             pts = rng.uniform(-10.0, 10.0, size=(8, 2))
             batch = interpret_batch(p, pts)
             for row, value in zip(pts, batch):
@@ -169,7 +169,7 @@ class TestInterpreterProperties:
         rng = np.random.default_rng(31)
         checked = 0
         for _ in range(50):
-            p = random_program(2, 30, (-5.0, 5.0), rng)
+            p = random_program(2, 30, ((-5.0, 5.0),), rng)
             for _ in range(100):
                 x = rng.uniform(-5.0, 5.0, size=2)
                 h = 1e-5
@@ -201,12 +201,12 @@ class TestRandomProgram:
     def test_min_ramp_is_exact_length(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            assert len(random_program(2, 2, (-1.0, 1.0), rng)) == 2
+            assert len(random_program(2, 2, ((-1.0, 1.0),), rng)) == 2
 
     def test_single_dimension_var_indices(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            p = random_program(1, 10, (-1.0, 1.0), rng)
+            p = random_program(1, 10, ((-1.0, 1.0),), rng)
             for ins in p.code:
                 if ins.op == Op.VAR:
                     assert ins.arg == 0
@@ -216,26 +216,40 @@ class TestRandomProgram:
         counts = np.zeros(9)
         draws = 10_000
         for _ in range(draws):
-            counts[len(random_program(2, 10, (-1.0, 1.0), rng)) - 2] += 1
+            counts[len(random_program(2, 10, ((-1.0, 1.0),), rng)) - 2] += 1
         expected = draws / 9.0
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         assert chi2 <= CHI2_99_DF8
 
     def test_max_length_validated(self):
         with pytest.raises(ValueError):
-            random_program(2, 1, (-1.0, 1.0), np.random.default_rng(0))
+            random_program(2, 1, ((-1.0, 1.0),), np.random.default_rng(0))
 
     def test_const_payloads_respect_ranges(self):
         rng = np.random.default_rng(9)
-        pairs = ((-2.0, -1.0), (5.0, 6.0))
-        # a sequence of (lo, hi) intervals, then a single (lo, hi) pair
-        for ranges, intervals in ((pairs, pairs), ((5.0, 6.0), ((5.0, 6.0),))):
+        # two intervals, then one interval given as numpy integers
+        for ranges in (((-2.0, -1.0), (5.0, 6.0)), ((np.int64(5), np.int64(6)),)):
             payloads = []
             for _ in range(50):
                 p = random_program(2, 10, ranges, rng)
                 payloads += [ins.arg for ins in p.code if ins.op == Op.CONST]
             assert payloads
-            assert all(any(lo <= v <= hi for lo, hi in intervals) for v in payloads)
+            assert all(any(lo <= v <= hi for lo, hi in ranges) for v in payloads)
+
+    @pytest.mark.parametrize("const_range", [
+        (-1.0, 1.0), (np.int64(-1), np.int64(1)), (), ((1.0, 2.0, 3.0),),
+        (("a", "b"),), 5.0])
+    def test_const_range_other_than_intervals_rejected(self, const_range):
+        p = parse("1.0 x0 +", 2)
+        with pytest.raises(ValueError, match=r"sequence of \(lo, hi\) intervals"):
+            random_program(2, 10, const_range, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"sequence of \(lo, hi\) intervals"):
+            mutate(p, 0.5, const_range, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("const_range", [((2.0, 1.0),), ((0.0, np.inf),)])
+    def test_invalid_interval_rejected(self, const_range):
+        with pytest.raises(ValueError, match="invalid constant interval"):
+            random_program(2, 10, const_range, np.random.default_rng(0))
 
 
 class TestCrossover:
@@ -256,8 +270,8 @@ class TestCrossover:
     def test_instruction_multiset_conserved(self):
         rng = np.random.default_rng(77)
         for _ in range(200):
-            a = random_program(2, 30, (-5.0, 5.0), rng)
-            b = random_program(2, 30, (-5.0, 5.0), rng)
+            a = random_program(2, 30, ((-5.0, 5.0),), rng)
+            b = random_program(2, 30, ((-5.0, 5.0),), rng)
             ca, cb = two_point_crossover(a, b, rng)
             if len(ca) + len(cb) == len(a) + len(b):
                 combined = sorted(a.code + b.code)
@@ -266,8 +280,8 @@ class TestCrossover:
     def test_offspring_satisfy_invariants(self):
         rng = np.random.default_rng(88)
         for _ in range(500):
-            a = random_program(3, 120, (-5.0, 5.0), rng)
-            b = random_program(3, 120, (-5.0, 5.0), rng)
+            a = random_program(3, 120, ((-5.0, 5.0),), rng)
+            b = random_program(3, 120, ((-5.0, 5.0),), rng)
             for child in two_point_crossover(a, b, rng):
                 assert 1 <= len(child) <= MAX_PROGRAM_LENGTH
                 assert child.dimension == 3
@@ -277,8 +291,8 @@ class TestCrossover:
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(3)
-        a = random_program(2, 10, (-1.0, 1.0), rng)
-        b = random_program(3, 10, (-1.0, 1.0), rng)
+        a = random_program(2, 10, ((-1.0, 1.0),), rng)
+        b = random_program(3, 10, ((-1.0, 1.0),), rng)
         with pytest.raises(ValueError):
             two_point_crossover(a, b, rng)
 
@@ -286,15 +300,15 @@ class TestCrossover:
 class TestMutate:
     def test_zero_rate_is_identity(self):
         rng = np.random.default_rng(4)
-        p = random_program(2, 20, (-5.0, 5.0), rng)
-        assert mutate(p, 0.0, (-5.0, 5.0), rng) == p
+        p = random_program(2, 20, ((-5.0, 5.0),), rng)
+        assert mutate(p, 0.0, ((-5.0, 5.0),), rng) == p
 
     def test_full_rate_changes_constant_slots(self):
         # a slot holding a constant is replaced by an identical instruction
         # with probability zero (continuous payload), so every slot changes
         rng = np.random.default_rng(6)
         p = Program(2, tuple(Instruction(Op.CONST, float(i)) for i in range(100)))
-        mutated = mutate(p, 1.0, (-10.0, 10.0), rng)
+        mutated = mutate(p, 1.0, ((-10.0, 10.0),), rng)
         assert all(x != y for x, y in zip(p.code, mutated.code))
 
     def test_replacement_count_binomial(self):
@@ -313,17 +327,17 @@ class TestMutate:
 
     def test_length_preserved_and_input_untouched(self):
         rng = np.random.default_rng(10)
-        p = random_program(2, 50, (-5.0, 5.0), rng)
+        p = random_program(2, 50, ((-5.0, 5.0),), rng)
         code_before = p.code
-        mutated = mutate(p, 0.7, (-5.0, 5.0), rng)
+        mutated = mutate(p, 0.7, ((-5.0, 5.0),), rng)
         assert len(mutated) == len(p)
         assert p.code == code_before
 
     def test_rate_validated(self):
         rng = np.random.default_rng(0)
-        p = random_program(2, 5, (-1.0, 1.0), rng)
+        p = random_program(2, 5, ((-1.0, 1.0),), rng)
         with pytest.raises(ValueError):
-            mutate(p, 1.5, (-1.0, 1.0), rng)
+            mutate(p, 1.5, ((-1.0, 1.0),), rng)
 
 
 class TestSerialization:

@@ -55,7 +55,7 @@ class TestFitness:
         fn, sampled = rastrigin_sample
         rng = np.random.default_rng(17)
         for _ in range(10):
-            program = stackgp.random_program(2, 20, (-5.0, 5.0), rng)
+            program = stackgp.random_program(2, 20, ((-5.0, 5.0),), rng)
             scored = fitness(program, fn, sampled, 20, rng)
             assert scored.fitness == scored.f_at_argmin + scored.rmse
             assert scored.f_at_argmin == fn.evaluate(scored.argmin)
